@@ -40,7 +40,7 @@ pub type NodeId = u32;
 /// One interned node: its child edges (label + child id), in canonical
 /// order. Empty children = leaf.
 pub(crate) struct DagNode<S: SeqSpec> {
-    pub(crate) children: Vec<(TreeStep<S>, NodeId)>,
+    pub(crate) children: Box<[(TreeStep<S>, NodeId)]>,
 }
 
 /// A prefix-closed transcript set as a hash-consed DAG. Build one with
@@ -255,108 +255,103 @@ impl<S: SeqSpec> TreeDag<S> {
     /// Unions a set of prefix-closed transcript shards into one DAG —
     /// the join step of parallel exploration, where each delegated
     /// subtree streamed its (prefix-including) transcripts into its own
-    /// [`DagBuilder`]. Structurally interned: shared prefixes and
-    /// isomorphic subtrees across shards collapse, and because node
-    /// identity is content-based, the result is identical to what one
-    /// sequential builder over the whole transcript set produces
-    /// (same unique shapes, same [`TreeDag::structural_hash`]).
+    /// [`DagBuilder`]. No shards give the empty set, a single shard is
+    /// returned as it is, and [`TreeDag::transcripts_ingested`] is the
+    /// sum over the shards.
+    ///
+    /// One pass into one node store: the shard roots form the first
+    /// group, and a group's child edges are grouped by step label. A
+    /// label owned by a single shard is copied, memoised per shard
+    /// node, so every shard node is interned at most once; a label
+    /// shared by several shards is merged as a group, memoised per
+    /// group. Node numbering follows this traversal, so it depends on
+    /// the shard order (only children-before-parents is guaranteed).
+    /// Structural hashes and the canonical edge order depend on content
+    /// alone, so the result has the same unique shapes and the same
+    /// [`TreeDag::structural_hash`] as one sequential builder over the
+    /// whole transcript set, whatever the shard order.
     pub fn merge(shards: Vec<TreeDag<S>>) -> TreeDag<S> {
-        // Balanced round-robin reduction: each shard's content passes
-        // through O(log n) unions, instead of the accumulator-fold's
-        // O(n × final size) when thousands of subtree shards arrive.
-        let mut queue: std::collections::VecDeque<TreeDag<S>> = shards.into();
-        loop {
-            match (queue.pop_front(), queue.pop_front()) {
-                (None, _) => return DagBuilder::new().finish(),
-                (Some(done), None) => return done,
-                (Some(a), Some(b)) => queue.push_back(union2(a, b)),
-            }
+        if shards.len() <= 1 {
+            return shards
+                .into_iter()
+                .next()
+                .unwrap_or_else(|| DagBuilder::new().finish());
+        }
+        let mut merger = Merger {
+            shards: &shards,
+            inner: DagInner::new(),
+            copies: shards.iter().map(|d| vec![None; d.nodes.len()]).collect(),
+            groups: HashMap::new(),
+        };
+        let root = merger.union(shards.iter().map(|d| d.root).enumerate().collect());
+        TreeDag {
+            nodes: merger.inner.nodes,
+            hashes: merger.inner.hashes,
+            root,
+            transcripts_ingested: shards.iter().map(|d| d.transcripts_ingested).sum(),
         }
     }
 }
 
-/// Unions two DAGs: deep-merge along shared edge labels, straight
-/// (memoised) copy of single-sided subtrees, everything re-interned
-/// into one fresh node store.
-fn union2<S: SeqSpec>(a: TreeDag<S>, b: TreeDag<S>) -> TreeDag<S> {
-    struct Merger<'d, S: SeqSpec> {
-        a: &'d TreeDag<S>,
-        b: &'d TreeDag<S>,
-        inner: DagInner<S>,
-        copy_a: Vec<Option<NodeId>>,
-        copy_b: Vec<Option<NodeId>>,
-        both: HashMap<(NodeId, NodeId), NodeId>,
-    }
+/// `(shard index, node)` pairs reached by the same label path in a
+/// [`TreeDag::merge`], at most one per shard and in ascending shard
+/// order.
+type Group = Vec<(usize, NodeId)>;
 
-    impl<S: SeqSpec> Merger<'_, S> {
-        fn copy(&mut self, from_a: bool, id: NodeId) -> NodeId {
-            let memo = if from_a { &self.copy_a } else { &self.copy_b };
-            if let Some(out) = memo[id as usize] {
-                return out;
-            }
-            let src = if from_a { self.a } else { self.b };
-            let children: Vec<(TreeStep<S>, NodeId)> = src
-                .children(id)
-                .to_vec()
-                .into_iter()
-                .map(|(step, child)| (step, self.copy(from_a, child)))
-                .collect();
-            let out = self.inner.intern(children);
-            let memo = if from_a {
-                &mut self.copy_a
-            } else {
-                &mut self.copy_b
-            };
-            memo[id as usize] = Some(out);
-            out
+/// The state of one [`TreeDag::merge`].
+struct Merger<'d, S: SeqSpec> {
+    shards: &'d [TreeDag<S>],
+    inner: DagInner<S>,
+    /// Per shard, the merged id of each shard node copied so far.
+    copies: Vec<Vec<Option<NodeId>>>,
+    /// The merged id of each group of two or more nodes.
+    groups: HashMap<Group, NodeId>,
+}
+
+impl<S: SeqSpec> Merger<'_, S> {
+    /// Interns the union of the subtrees in `group`.
+    fn union(&mut self, group: Group) -> NodeId {
+        if let [(shard, id)] = group[..] {
+            return self.copy(shard, id);
         }
-
-        fn union(&mut self, ai: NodeId, bi: NodeId) -> NodeId {
-            if let Some(&out) = self.both.get(&(ai, bi)) {
-                return out;
-            }
-            let bkids = self.b.children(bi).to_vec();
-            let mut b_used = vec![false; bkids.len()];
-            let mut children: Vec<(TreeStep<S>, NodeId)> = Vec::new();
-            for (step, ac) in self.a.children(ai).to_vec() {
-                match bkids.iter().position(|(bs, _)| *bs == step) {
-                    Some(pos) => {
-                        b_used[pos] = true;
-                        let merged = self.union(ac, bkids[pos].1);
-                        children.push((step, merged));
-                    }
-                    None => {
-                        let copied = self.copy(true, ac);
-                        children.push((step, copied));
-                    }
+        if let Some(&out) = self.groups.get(&group) {
+            return out;
+        }
+        let shards = self.shards;
+        // Child edges grouped by label. Walking the group in shard
+        // order keeps every child group in shard order too.
+        let mut by_label: Vec<(&TreeStep<S>, Group)> = Vec::new();
+        for &(shard, id) in &group {
+            for (step, child) in shards[shard].children(id) {
+                match by_label.iter_mut().find(|(s, _)| *s == step) {
+                    Some((_, members)) => members.push((shard, *child)),
+                    None => by_label.push((step, vec![(shard, *child)])),
                 }
             }
-            for (pos, (step, bc)) in bkids.into_iter().enumerate() {
-                if !b_used[pos] {
-                    let copied = self.copy(false, bc);
-                    children.push((step, copied));
-                }
-            }
-            let out = self.inner.intern(children);
-            self.both.insert((ai, bi), out);
-            out
         }
+        let children = by_label
+            .into_iter()
+            .map(|(step, members)| (step.clone(), self.union(members)))
+            .collect();
+        let out = self.inner.intern(children);
+        self.groups.insert(group, out);
+        out
     }
 
-    let mut m = Merger {
-        a: &a,
-        b: &b,
-        inner: DagInner::new(),
-        copy_a: vec![None; a.nodes.len()],
-        copy_b: vec![None; b.nodes.len()],
-        both: HashMap::new(),
-    };
-    let root = m.union(a.root, b.root);
-    TreeDag {
-        nodes: m.inner.nodes,
-        hashes: m.inner.hashes,
-        root,
-        transcripts_ingested: a.transcripts_ingested + b.transcripts_ingested,
+    /// Interns a copy of one shard's subtree.
+    fn copy(&mut self, shard: usize, id: NodeId) -> NodeId {
+        if let Some(out) = self.copies[shard][id as usize] {
+            return out;
+        }
+        let shards = self.shards;
+        let children = shards[shard]
+            .children(id)
+            .iter()
+            .map(|(step, child)| (step.clone(), self.copy(shard, *child)))
+            .collect();
+        let out = self.inner.intern(children);
+        self.copies[shard][id as usize] = Some(out);
+        out
     }
 }
 
@@ -419,9 +414,14 @@ impl<S: SeqSpec> DagInner<S> {
             return id;
         }
         let id = NodeId::try_from(self.nodes.len()).expect("too many unique subtree shapes");
-        self.registry.insert(children.clone(), id);
         self.hashes.push(node_hash(&children, &self.hashes));
-        self.nodes.push(DagNode { children });
+        // The node store outlives the registry (dropped when the dag is
+        // finished), so it takes the exact-capacity clone and the
+        // registry the push-built list with its spare capacity.
+        self.nodes.push(DagNode {
+            children: children.clone().into_boxed_slice(),
+        });
+        self.registry.insert(children, id);
         id
     }
 }
@@ -594,6 +594,7 @@ impl<S: SeqSpec> DagBuilder<S> {
 mod tests {
     use super::*;
     use crate::tree::TreeStep;
+    use sl_mem::SmallRng;
     use sl_spec::types::CounterSpec;
     use sl_spec::ProcId;
 
@@ -742,6 +743,126 @@ mod tests {
         let ba = TreeDag::merge(vec![s2, s1]);
         assert_eq!(ab.structural_hash(), ba.structural_hash());
         assert_eq!(ab.structural_hash(), sequential.structural_hash());
+    }
+
+    fn shuffle<T>(rng: &mut SmallRng, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, rng.gen_range(i + 1));
+        }
+    }
+
+    /// A random prefix-closed transcript set in depth-first order: the
+    /// root-to-leaf paths of a random tree over a small alphabet (so
+    /// isomorphic subtrees recur), at most 4 steps deep, with some inner
+    /// prefixes ingested on the way down.
+    fn random_dfs_transcripts(rng: &mut SmallRng) -> Vec<Vec<TreeStep<CounterSpec>>> {
+        fn grow(
+            rng: &mut SmallRng,
+            path: &mut Vec<TreeStep<CounterSpec>>,
+            out: &mut Vec<Vec<TreeStep<CounterSpec>>>,
+        ) {
+            let fanout = if path.len() >= 4 { 0 } else { rng.gen_range(4) };
+            if fanout == 0 || rng.gen_bool(0.25) {
+                out.push(path.clone());
+            }
+            let mut labels = ["a", "b", "c", "d"];
+            shuffle(rng, &mut labels);
+            for label in &labels[..fanout] {
+                path.push(TreeStep::internal(ProcId(rng.gen_range(2)), label));
+                grow(rng, path, out);
+                path.pop();
+            }
+        }
+        let mut out = Vec::new();
+        grow(rng, &mut Vec::new(), &mut out);
+        out
+    }
+
+    fn build<'t>(
+        transcripts: impl IntoIterator<Item = &'t Vec<TreeStep<CounterSpec>>>,
+    ) -> TreeDag<CounterSpec> {
+        let b: DagBuilder<CounterSpec> = DagBuilder::new();
+        for t in transcripts {
+            b.ingest(t);
+        }
+        b.finish()
+    }
+
+    /// The k-way merge against the sequential builder. The DFS stream
+    /// is dealt into k shards at random, so each shard is a DFS-ordered
+    /// subsequence (as a worker's subtree is once sub-subtrees are
+    /// delegated away), and some transcripts are dealt twice
+    /// (overlapping subtree prefixes). An empty shard and a repeated
+    /// shard are added, and the shards are merged in shuffled orders.
+    #[test]
+    fn k_way_merge_matches_the_sequential_builder() {
+        let mut rng = SmallRng::new(0x5eed);
+        for k in [0usize, 1, 2, 3, 17, 64] {
+            let transcripts = loop {
+                let t = random_dfs_transcripts(&mut rng);
+                if t.len() >= 16 {
+                    break t;
+                }
+            };
+            let n = transcripts.len();
+            let sequential = build(&transcripts);
+            let mut dealt: Vec<Vec<usize>> = vec![Vec::new(); k];
+            for i in (0..n).filter(|_| k > 0) {
+                dealt[rng.gen_range(k)].push(i);
+                if rng.gen_bool(0.25) {
+                    dealt[rng.gen_range(k)].push(i);
+                }
+            }
+            if k > 0 {
+                dealt.push(Vec::new());
+                dealt.push(dealt[rng.gen_range(k)].clone());
+            }
+            for _ in 0..2 {
+                shuffle(&mut rng, &mut dealt);
+                let shards: Vec<TreeDag<CounterSpec>> = dealt
+                    .iter()
+                    .map(|ids| build(ids.iter().map(|&i| &transcripts[i])))
+                    .collect();
+                let ingested: usize = shards.iter().map(|d| d.transcripts_ingested()).sum();
+                let merged = TreeDag::merge(shards);
+                let what = format!("k {k}, {n} transcripts, shards {dealt:?}");
+                if k == 0 {
+                    assert_eq!(merged.unique_nodes(), 1, "{what}");
+                    assert_eq!(merged.tree_node_count(), 1, "{what}");
+                    assert_eq!(merged.transcripts_ingested(), 0, "{what}");
+                    continue;
+                }
+                assert_eq!(merged.unique_nodes(), sequential.unique_nodes(), "{what}");
+                assert_eq!(
+                    merged.tree_node_count(),
+                    sequential.tree_node_count(),
+                    "{what}"
+                );
+                assert_eq!(
+                    merged.structural_hash(),
+                    sequential.structural_hash(),
+                    "{what}"
+                );
+                assert_eq!(merged.transcripts_ingested(), ingested, "{what}");
+                let edges: Vec<Vec<(TreeStep<CounterSpec>, NodeId)>> = (0..merged.unique_nodes())
+                    .map(|i| merged.edges(i as NodeId).to_vec())
+                    .collect();
+                for (i, node) in edges.iter().enumerate() {
+                    assert!(
+                        node.iter().all(|(_, child)| (*child as usize) < i),
+                        "{what}: node {i} precedes a child"
+                    );
+                }
+                let rebuilt = TreeDag::assemble(edges, merged.root(), ingested)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!(rebuilt.unique_nodes(), merged.unique_nodes(), "{what}");
+                assert_eq!(
+                    rebuilt.structural_hash(),
+                    merged.structural_hash(),
+                    "{what}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -285,8 +285,7 @@ fn splitmix(state: &mut u64) -> u64 {
 fn randomized_workloads_agree_across_all_modes() {
     for seed in 0..6u64 {
         let mut s = seed;
-        // 2 processes, 1–2 ops each (total capped at 3 so the
-        // sleep-set frame mode stays tractable), ops drawn from
+        // 2 processes, 1–2 ops each (total capped at 3), ops drawn from
         // {DRead, DWrite(1), DWrite(2)}.
         let mut workload: Vec<Vec<AbaOp<u64>>> = Vec::new();
         let mut total = 0usize;
@@ -311,11 +310,7 @@ fn randomized_workloads_agree_across_all_modes() {
             &workload,
             &cfg(PruneMode::ValueDpor, 1, None),
         );
-        for mode in [
-            PruneMode::SleepSet,
-            PruneMode::SourceDpor,
-            PruneMode::OptimalDpor,
-        ] {
+        for mode in [PruneMode::SourceDpor, PruneMode::OptimalDpor] {
             for workers in [1, 4] {
                 let (out, rep) =
                     run::<AbaSpec<u64>, _, _>(&spec, factory, &workload, &cfg(mode, workers, None));

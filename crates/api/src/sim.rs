@@ -127,7 +127,7 @@ pub struct SimExplore {
     /// Partial-order reduction level (default: value-aware source-set
     /// DPOR, [`PruneMode::ValueDpor`]).
     pub mode: PruneMode,
-    /// Worker threads replaying schedules in parallel. Source-set DPOR
+    /// Worker threads replaying schedules in parallel. The explorer
     /// partitions the schedule tree into delegated subtrees and is
     /// deterministic at any count; defaults to the `SL_EXPLORE_THREADS`
     /// environment variable (`0` = one per CPU, unset = 1).
@@ -400,11 +400,10 @@ impl<S: SeqSpec> ExploredDag<S> {
 
 /// [`explore_object_dag`] with an explicit apply closure.
 ///
-/// Under source-set DPOR the transcripts stream straight into
-/// hash-consed per-subtree [`DagBuilder`] shards (the prefix tree is
-/// never materialised — this is the deep-exploration entry point);
-/// under the frame modes, whose ingestion order is not depth-first, the
-/// materialised tree is built first and converted.
+/// In every [`PruneMode`] the transcripts stream straight into
+/// hash-consed per-subtree [`DagBuilder`] shards, each ingested in
+/// depth-first order (the prefix tree is never materialised — this is
+/// the deep-exploration entry point).
 pub fn explore_object_dag_with<S, O, F, A>(
     factory: F,
     workload: &[Vec<S::Op>],
@@ -420,19 +419,6 @@ where
     F: Fn(&SimMem) -> O + Sync,
     A: Fn(&mut O::Handle, &S::Op) -> S::Resp + Send + Sync + 'static,
 {
-    if !matches!(
-        cfg.mode,
-        PruneMode::SourceDpor
-            | PruneMode::ValueDpor
-            | PruneMode::StaticDpor
-            | PruneMode::OptimalDpor
-    ) {
-        let explored = explore_object_with(factory, workload, apply, cfg);
-        return ExploredDag {
-            dag: TreeDag::from_tree(&explored.tree),
-            outcome: explored.outcome,
-        };
-    }
     let n = workload.len();
     assert!(n > 0, "workload must cover at least one process");
     let apply = Arc::new(apply);
@@ -479,9 +465,9 @@ where
 /// lag the post-drain on-disk DAG by design. The end-to-end identity
 /// gate is the merged-union structural hash, not per-shard equality.
 ///
-/// Fail-closed: panics (like [`Explorer::explore_resumable`]) when
-/// `cfg.mode` is not a DPOR mode, and on any torn, stale, or doctored
-/// checkpoint.
+/// Fail-closed: panics (like [`Explorer::explore_resumable`]) on any
+/// torn, stale, or doctored checkpoint, and on a checkpoint taken under
+/// a different `cfg.mode` or worker count.
 pub fn explore_object_dag_resumable<S, O, F>(
     factory: F,
     workload: &[Vec<S::Op>],

@@ -130,6 +130,21 @@ impl Gate {
         }
     }
 
+    /// Gates `measured == recorded` (deterministic counts that are exact
+    /// by construction, such as the unpruned oracle's full interleaving
+    /// count: a change in either direction is a regression). `None`
+    /// fails, as for [`Gate::count_not_above`].
+    pub fn count_equals(&mut self, what: &str, measured: usize, recorded: Option<usize>) {
+        match recorded {
+            None => self.fail(&format!("{what}: no recorded baseline count")),
+            Some(rec) if measured != rec => {
+                eprintln!("REGRESSION: {what} measured {measured} != recorded {rec}");
+                self.regressed = true;
+            }
+            Some(rec) => println!("baseline ok: {what} measured {measured} == recorded {rec}"),
+        }
+    }
+
     /// Gates `measured >= min` for a speedup ratio; `None` (absent gate
     /// key) skips silently — speedup floors are opt-in per baseline.
     pub fn speedup_at_least(&mut self, what: &str, measured: f64, min: Option<f64>) {
@@ -341,7 +356,15 @@ mod tests {
         assert!(!g.regressed());
         g.speedup_at_least("s", 1.0, None); // absent gate: skipped
         assert!(!g.regressed());
+        g.count_equals("u", 5, Some(5));
+        assert!(!g.regressed());
         g.count_not_above("w", 6, Some(5));
         assert!(g.regressed());
+        let mut g = Gate::new();
+        g.count_equals("u", 4, Some(5));
+        assert!(g.regressed(), "an exact count gates in both directions");
+        let mut g = Gate::new();
+        g.count_equals("u", 5, None);
+        assert!(g.regressed(), "an unrecorded exact count fails");
     }
 }

@@ -11,11 +11,13 @@
 //! own §4.5 construction — a max-register derived from the strongly
 //! linearizable snapshot — passes the identical workload.
 
+use std::sync::Mutex;
+
 use sl_api::ObjectBuilder;
 use sl_bench::print_table;
 use sl_check::{check_strongly_linearizable, HistoryTree, TreeStep};
 use sl_core::BoundedMaxRegister;
-use sl_sim::{explore, EventLog, Program, Scripted, SimWorld};
+use sl_sim::{EventLog, Explorer, Program, PruneMode, SimWorld};
 use sl_spec::types::MaxRegisterSpec;
 use sl_spec::{MaxRegisterOp, MaxRegisterResp, ProcId};
 
@@ -27,72 +29,72 @@ enum Impl {
 }
 
 fn run_workload(which: Impl, max_runs: usize) -> (usize, bool, bool) {
-    let mut transcripts: Vec<Vec<TreeStep<MaxRegisterSpec>>> = Vec::new();
-    let explored = explore(
-        |script| {
-            let world = SimWorld::new(3);
-            let mem = world.mem();
-            let log: EventLog<MaxRegisterSpec> = EventLog::new(&world);
-            let mut programs: Vec<Program> = Vec::new();
-            match which {
-                Impl::AacTopDown | Impl::AacDoubleCollect => {
-                    let m = BoundedMaxRegister::new(&mem, 4);
-                    for value in [1u64, 3] {
-                        let m = m.clone();
-                        let log = log.clone();
-                        programs.push(Box::new(move |ctx| {
-                            ctx.pause();
-                            let id = log.invoke(ctx.proc_id(), MaxRegisterOp::MaxWrite(value));
-                            m.max_write(value);
-                            log.respond(id, MaxRegisterResp::Ack);
-                        }));
-                    }
-                    let m2 = m.clone();
-                    let l2 = log.clone();
-                    programs.push(Box::new(move |ctx| {
-                        ctx.pause();
-                        let id = l2.invoke(ctx.proc_id(), MaxRegisterOp::MaxRead);
-                        let v = match which {
-                            Impl::AacTopDown => m2.max_read(),
-                            _ => m2.max_read_double_collect(),
-                        };
-                        l2.respond(id, MaxRegisterResp::Value(v));
-                    }));
-                }
-                Impl::SnapshotDerived => {
-                    let maxreg = ObjectBuilder::on(&mem)
-                        .processes(3)
-                        .atomic_r()
-                        .max_register();
-                    for (pid, value) in [(0usize, 1u64), (1, 3)] {
-                        let mut h = maxreg.handle(ProcId(pid));
-                        let log = log.clone();
-                        programs.push(Box::new(move |ctx| {
-                            ctx.pause();
-                            let id = log.invoke(ctx.proc_id(), MaxRegisterOp::MaxWrite(value));
-                            h.max_write(value);
-                            log.respond(id, MaxRegisterResp::Ack);
-                        }));
-                    }
-                    let mut h = maxreg.handle(ProcId(2));
-                    let l2 = log.clone();
-                    programs.push(Box::new(move |ctx| {
-                        ctx.pause();
-                        let id = l2.invoke(ctx.proc_id(), MaxRegisterOp::MaxRead);
-                        let v = h.max_read();
-                        l2.respond(id, MaxRegisterResp::Value(v));
-                    }));
-                }
-            }
-            let mut sched = Scripted::new(script.to_vec());
-            let outcome = world.run(programs, &mut sched, 2_000);
-            transcripts.push(log.transcript(&outcome));
-            outcome
-        },
+    let transcripts: Mutex<Vec<Vec<TreeStep<MaxRegisterSpec>>>> = Mutex::new(Vec::new());
+    let explorer = Explorer {
         max_runs,
-        |_, _| {},
-    );
-    let tree = HistoryTree::from_transcripts(&transcripts);
+        mode: PruneMode::Unpruned,
+        ..Explorer::default()
+    };
+    let explored = explorer.explore(|driver| {
+        let world = SimWorld::new(3);
+        let mem = world.mem();
+        let log: EventLog<MaxRegisterSpec> = EventLog::new(&world);
+        let mut programs: Vec<Program> = Vec::new();
+        match which {
+            Impl::AacTopDown | Impl::AacDoubleCollect => {
+                let m = BoundedMaxRegister::new(&mem, 4);
+                for value in [1u64, 3] {
+                    let m = m.clone();
+                    let log = log.clone();
+                    programs.push(Box::new(move |ctx| {
+                        ctx.pause();
+                        let id = log.invoke(ctx.proc_id(), MaxRegisterOp::MaxWrite(value));
+                        m.max_write(value);
+                        log.respond(id, MaxRegisterResp::Ack);
+                    }));
+                }
+                let m2 = m.clone();
+                let l2 = log.clone();
+                programs.push(Box::new(move |ctx| {
+                    ctx.pause();
+                    let id = l2.invoke(ctx.proc_id(), MaxRegisterOp::MaxRead);
+                    let v = match which {
+                        Impl::AacTopDown => m2.max_read(),
+                        _ => m2.max_read_double_collect(),
+                    };
+                    l2.respond(id, MaxRegisterResp::Value(v));
+                }));
+            }
+            Impl::SnapshotDerived => {
+                let maxreg = ObjectBuilder::on(&mem)
+                    .processes(3)
+                    .atomic_r()
+                    .max_register();
+                for (pid, value) in [(0usize, 1u64), (1, 3)] {
+                    let mut h = maxreg.handle(ProcId(pid));
+                    let log = log.clone();
+                    programs.push(Box::new(move |ctx| {
+                        ctx.pause();
+                        let id = log.invoke(ctx.proc_id(), MaxRegisterOp::MaxWrite(value));
+                        h.max_write(value);
+                        log.respond(id, MaxRegisterResp::Ack);
+                    }));
+                }
+                let mut h = maxreg.handle(ProcId(2));
+                let l2 = log.clone();
+                programs.push(Box::new(move |ctx| {
+                    ctx.pause();
+                    let id = l2.invoke(ctx.proc_id(), MaxRegisterOp::MaxRead);
+                    let v = h.max_read();
+                    l2.respond(id, MaxRegisterResp::Value(v));
+                }));
+            }
+        }
+        let outcome = world.run(programs, driver, 2_000);
+        transcripts.lock().unwrap().push(log.transcript(&outcome));
+        outcome
+    });
+    let tree = HistoryTree::from_transcripts(&transcripts.into_inner().unwrap());
     let report = check_strongly_linearizable(&MaxRegisterSpec, &tree);
     (explored.runs, explored.exhausted, report.holds)
 }

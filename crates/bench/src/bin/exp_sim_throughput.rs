@@ -4,8 +4,8 @@
 //! The experiment captures the quantities that bound exhaustive
 //! model-checking depth:
 //!
-//! * **schedules replayed** per explorer mode (unpruned, sleep sets,
-//!   source-set DPOR, value-aware DPOR, static-certificate DPOR, and
+//! * **schedules replayed** per explorer mode (unpruned — the
+//!   reference oracle, source-set DPOR, value-aware DPOR, static-certificate DPOR, and
 //!   wakeup-sequence optimal DPOR) on pinned Algorithm-2 workloads —
 //!   the win of partial-order reduction, of the `sl-analyze`
 //!   placement-commutation certificate on top of it, and of wakeup
@@ -30,6 +30,9 @@
 //! CI job uploads; it includes the scaling curve). `--baseline PATH`
 //! compares against a recorded baseline and exits non-zero if
 //!
+//! * the unpruned reference oracle does not exhaust a pinned workload,
+//!   or replays a different number of schedules than recorded (its
+//!   count is the full interleaving count — exact, not a ceiling),
 //! * the pruned explorer replays *more* schedules than recorded for a
 //!   pinned workload, under syntactic source DPOR, value-aware DPOR,
 //!   static-certificate DPOR, or optimal DPOR (partial-order reduction
@@ -509,7 +512,6 @@ struct WorkloadSummary {
     name: &'static str,
     unpruned_replayed: usize,
     unpruned_exhausted: bool,
-    sleepset_replayed: usize,
     dpor_replayed: usize,
     dpor_runs: usize,
     value_dpor_replayed: usize,
@@ -547,7 +549,6 @@ fn run_pinned_workload(
     let budget = 4_000_000;
     let mut rows = Vec::new();
     let (un, _, un_t) = explore_sl_aba_fresh(writes, reads, PruneMode::Unpruned, budget, None);
-    let (ss, _, ss_t) = explore_sl_aba_fresh(writes, reads, PruneMode::SleepSet, budget, None);
     let (dp, built, dp_t) =
         explore_sl_aba_fresh(writes, reads, PruneMode::SourceDpor, budget, None);
     let (vd, _, vd_t) = explore_sl_aba_fresh(writes, reads, PruneMode::ValueDpor, budget, None);
@@ -567,7 +568,7 @@ fn run_pinned_workload(
     );
     let (dag, tree) = built.expect("DPOR run builds the transcript sets");
     assert!(
-        ss.exhausted && dp.exhausted && vd.exhausted && sd.exhausted && od.exhausted,
+        dp.exhausted && vd.exhausted && sd.exhausted && od.exhausted,
         "pruned explorations of the pinned workloads must exhaust"
     );
     assert!(
@@ -585,7 +586,6 @@ fn run_pinned_workload(
     assert_eq!(od.cut_runs, 0, "optimal DPOR must never cut a replay");
     for (mode, out, secs) in [
         ("unpruned", &un, un_t),
-        ("sleep sets", &ss, ss_t),
         ("source DPOR", &dp, dp_t),
         ("value DPOR", &vd, vd_t),
         ("static DPOR", &sd, sd_t),
@@ -803,7 +803,6 @@ fn run_pinned_workload(
         name,
         unpruned_replayed: un.schedules_replayed(),
         unpruned_exhausted: un.exhausted,
-        sleepset_replayed: ss.schedules_replayed(),
         dpor_replayed: dp.schedules_replayed(),
         dpor_runs: dp.runs,
         value_dpor_replayed: vd.schedules_replayed(),
@@ -868,8 +867,8 @@ fn to_json(
         }
         out.push_str(&format!(
             "\n    {{\n      \"name\": \"{}\",\n      \"unpruned_replayed\": {},\n      \
-             \"unpruned_exhausted\": {},\n      \"sleepset_replayed\": {},\n      \
-             \"dpor_replayed\": {},\n      \"dpor_runs\": {},\n      \
+             \"unpruned_exhausted\": {},\n      \"dpor_replayed\": {},\n      \
+             \"dpor_runs\": {},\n      \
              \"value_dpor_replayed\": {},\n      \"value_dpor_runs\": {},\n      \
              \"static_dpor_replayed\": {},\n      \"static_dpor_runs\": {},\n      \
              \"optimal_dpor_replayed\": {},\n      \"optimal_dpor_runs\": {},\n      \
@@ -884,7 +883,6 @@ fn to_json(
             w.name,
             w.unpruned_replayed,
             w.unpruned_exhausted,
-            w.sleepset_replayed,
             w.dpor_replayed,
             w.dpor_runs,
             w.value_dpor_replayed,
@@ -966,6 +964,7 @@ fn summary_markdown(
     }
     for w in workloads {
         for (key, measured) in [
+            ("unpruned_replayed", w.unpruned_replayed),
             ("dpor_replayed", w.dpor_replayed),
             ("value_dpor_replayed", w.value_dpor_replayed),
             ("static_dpor_replayed", w.static_dpor_replayed),
@@ -1235,6 +1234,19 @@ fn main() {
     if let Some(b) = &loaded {
         let mut gate = Gate::new();
         for w in &workloads {
+            // The unpruned reference oracle explores the full
+            // interleaving tree: its count is exact, not a ceiling.
+            gate.count_equals(
+                &format!("{} unpruned schedules", w.name),
+                w.unpruned_replayed,
+                b.workload_count(w.name, "unpruned_replayed"),
+            );
+            if !w.unpruned_exhausted {
+                gate.fail(&format!(
+                    "the unpruned oracle did not exhaust {} within its budget",
+                    w.name
+                ));
+            }
             // Schedule counts are deterministic: any increase is a
             // partial-order-reduction regression, for the syntactic
             // and the value-aware relation alike.
@@ -1679,9 +1691,11 @@ fn write_certificates(path: &str) {
 
 /// Header comment written into refreshed baselines.
 const BASELINE_COMMENT: &str = "Reference numbers for the exp_sim_throughput --baseline gate, \
-written by --refresh-baseline. The gate enforces: dpor_replayed, value_dpor_replayed, \
-static_dpor_replayed, and optimal_dpor_replayed per workload (schedule counts are deterministic \
-— any increase is a partial-order-reduction regression), static < value strictly on the \
+written by --refresh-baseline. The gate enforces: unpruned_replayed exactly, with \
+unpruned_exhausted true, on the pinned workloads (the reference oracle's full interleaving \
+count — any change in either direction is an oracle regression), dpor_replayed, \
+value_dpor_replayed, static_dpor_replayed, and optimal_dpor_replayed per workload (schedule \
+counts are deterministic — any increase is a partial-order-reduction regression), static < value strictly on the \
 mixed-role workloads (the sl-analyze placement certificate must keep pruning), optimal < static \
 strictly there with zero cut replays (wakeup sequences must keep eliminating sleep-set-blocked \
 runs), optimal strictly below the frozen per-register-era floors (660 / 26638) with zero \

@@ -4,10 +4,12 @@
 //! workloads, merges the recorded transcripts into a prefix tree, and
 //! searches for a strong linearization function.
 
+use std::sync::Mutex;
+
 use sl_bench::print_table;
 use sl_check::{check_strongly_linearizable, HistoryTree};
 use sl_core::aba::{AbaHandle, AbaRegister, AwAbaRegister, SlAbaRegister};
-use sl_sim::{explore, EventLog, Program, Scripted, SimWorld};
+use sl_sim::{EventLog, Explorer, Program, PruneMode, SimWorld};
 use sl_spec::types::AbaSpec;
 use sl_spec::{AbaOp, AbaResp, ProcId};
 
@@ -26,46 +28,46 @@ fn check<R, F>(
 ) -> (usize, bool, bool, u64)
 where
     R: AbaRegister<u64>,
-    F: Fn(&sl_sim::SimMem, usize) -> R + Copy,
+    F: Fn(&sl_sim::SimMem, usize) -> R + Sync,
 {
     let n = writers + readers;
-    let mut transcripts = Vec::new();
-    let explored = explore(
-        |script| {
-            let world = SimWorld::new(n);
-            let mem = world.mem();
-            let reg = make(&mem, n);
-            let log: EventLog<Spec> = EventLog::new(&world);
-            let mut programs: Vec<Program> = Vec::new();
-            for pid in 0..n {
-                let mut h = reg.handle(ProcId(pid));
-                let log = log.clone();
-                let is_writer = pid < writers;
-                programs.push(Box::new(move |ctx| {
-                    let count = if is_writer { w_ops } else { r_ops };
-                    for i in 0..count {
-                        ctx.pause();
-                        if is_writer {
-                            let id = log.invoke(ctx.proc_id(), AbaOp::DWrite(i));
-                            h.dwrite(i);
-                            log.respond(id, AbaResp::Ack);
-                        } else {
-                            let id = log.invoke(ctx.proc_id(), AbaOp::DRead);
-                            let (v, a) = h.dread();
-                            log.respond(id, AbaResp::Value(v, a));
-                        }
-                    }
-                }));
-            }
-            let mut sched = Scripted::new(script.to_vec());
-            let outcome = world.run(programs, &mut sched, 400);
-            transcripts.push(log.transcript(&outcome));
-            outcome
-        },
+    let transcripts = Mutex::new(Vec::new());
+    let explorer = Explorer {
         max_runs,
-        |_, _| {},
-    );
-    let tree = HistoryTree::from_transcripts(&transcripts);
+        mode: PruneMode::Unpruned,
+        ..Explorer::default()
+    };
+    let explored = explorer.explore(|driver| {
+        let world = SimWorld::new(n);
+        let mem = world.mem();
+        let reg = make(&mem, n);
+        let log: EventLog<Spec> = EventLog::new(&world);
+        let mut programs: Vec<Program> = Vec::new();
+        for pid in 0..n {
+            let mut h = reg.handle(ProcId(pid));
+            let log = log.clone();
+            let is_writer = pid < writers;
+            programs.push(Box::new(move |ctx| {
+                let count = if is_writer { w_ops } else { r_ops };
+                for i in 0..count {
+                    ctx.pause();
+                    if is_writer {
+                        let id = log.invoke(ctx.proc_id(), AbaOp::DWrite(i));
+                        h.dwrite(i);
+                        log.respond(id, AbaResp::Ack);
+                    } else {
+                        let id = log.invoke(ctx.proc_id(), AbaOp::DRead);
+                        let (v, a) = h.dread();
+                        log.respond(id, AbaResp::Value(v, a));
+                    }
+                }
+            }));
+        }
+        let outcome = world.run(programs, driver, 400);
+        transcripts.lock().unwrap().push(log.transcript(&outcome));
+        outcome
+    });
+    let tree = HistoryTree::from_transcripts(&transcripts.into_inner().unwrap());
     let report = check_strongly_linearizable(&Spec::new(n), &tree);
     (
         explored.runs,

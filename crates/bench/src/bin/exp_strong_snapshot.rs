@@ -6,10 +6,12 @@
 //! atomic `R` (the paper's Algorithm 3 as stated) and the composed
 //! register-only `R` (Algorithm 2, by composability — Theorem 2).
 
+use std::sync::Mutex;
+
 use sl_api::{ObjectBuilder, SharedObject, SnapshotOps};
 use sl_bench::print_table;
 use sl_check::{check_strongly_linearizable, HistoryTree, TreeStep};
-use sl_sim::{explore, EventLog, Program, Scripted, SimMem, SimWorld};
+use sl_sim::{EventLog, Explorer, Program, PruneMode, SimMem, SimWorld};
 use sl_spec::types::SnapshotSpec;
 use sl_spec::{ProcId, SnapshotOp, SnapshotResp};
 
@@ -49,29 +51,29 @@ fn check_config(
     max_runs: usize,
 ) -> Vec<String> {
     let n = updaters + scanners;
-    let mut transcripts: Vec<Vec<TreeStep<Spec>>> = Vec::new();
-    let explored = explore(
-        |script| {
-            let world = SimWorld::new(n);
-            let mem = world.mem();
-            let log: EventLog<Spec> = EventLog::new(&world);
-            let builder = ObjectBuilder::on(&mem).processes(n);
-            let programs = if composed_r {
-                let snap = builder.snapshot::<u64>();
-                workload(&snap, &log, updaters, scanners)
-            } else {
-                let snap = builder.atomic_r().snapshot::<u64>();
-                workload(&snap, &log, updaters, scanners)
-            };
-            let mut sched = Scripted::new(script.to_vec());
-            let outcome = world.run(programs, &mut sched, 2_000);
-            transcripts.push(log.transcript(&outcome));
-            outcome
-        },
+    let transcripts: Mutex<Vec<Vec<TreeStep<Spec>>>> = Mutex::new(Vec::new());
+    let explorer = Explorer {
         max_runs,
-        |_, _| {},
-    );
-    let tree = HistoryTree::from_transcripts(&transcripts);
+        mode: PruneMode::Unpruned,
+        ..Explorer::default()
+    };
+    let explored = explorer.explore(|driver| {
+        let world = SimWorld::new(n);
+        let mem = world.mem();
+        let log: EventLog<Spec> = EventLog::new(&world);
+        let builder = ObjectBuilder::on(&mem).processes(n);
+        let programs = if composed_r {
+            let snap = builder.snapshot::<u64>();
+            workload(&snap, &log, updaters, scanners)
+        } else {
+            let snap = builder.atomic_r().snapshot::<u64>();
+            workload(&snap, &log, updaters, scanners)
+        };
+        let outcome = world.run(programs, driver, 2_000);
+        transcripts.lock().unwrap().push(log.transcript(&outcome));
+        outcome
+    });
+    let tree = HistoryTree::from_transcripts(&transcripts.into_inner().unwrap());
     let report = check_strongly_linearizable(&Spec::new(n), &tree);
     vec![
         label.to_string(),

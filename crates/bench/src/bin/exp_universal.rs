@@ -6,11 +6,13 @@
 //! 2-process workload over (a) an atomic root (Theorem 54) and (b) the
 //! paper's strongly linearizable snapshot as root (Theorem 3).
 
+use std::sync::Mutex;
+
 use sl_api::ObjectBuilder;
 use sl_bench::print_table;
 use sl_check::{check_linearizable, check_strongly_linearizable, HistoryTree};
 use sl_core::SnapshotObject;
-use sl_sim::{explore, EventLog, Program, Scripted, SeededRandom, SimWorld};
+use sl_sim::{EventLog, Explorer, Program, PruneMode, SeededRandom, SimWorld};
 use sl_spec::{CounterOp, GrowSetOp, MaxRegisterOp, ProcId};
 use sl_universal::types::{CounterType, GrowSetType, MaxRegisterType, RegOp, RegisterType};
 use sl_universal::{NodeRef, SimpleSpec, SimpleType, Universal};
@@ -62,30 +64,30 @@ fn strong_bounded<T: SimpleType>(
     sl_root: bool,
     max_runs: usize,
 ) -> (usize, bool, bool) {
-    let mut transcripts = Vec::new();
-    let explored = explore(
-        |script| {
-            let world = SimWorld::new(2);
-            let mem = world.mem();
-            let log: EventLog<SimpleSpec<T>> = EventLog::new(&world);
-            let builder = ObjectBuilder::on(&mem).processes(2);
-            let programs: Vec<Program> = if sl_root {
-                let obj = builder.universal(ty.clone());
-                mk_programs(&obj, &log, op0.clone(), op1.clone())
-            } else {
-                let root = builder.atomic_snapshot::<NodeRef<T>>();
-                let obj = Universal::new(ty.clone(), root, 2);
-                mk_programs(&obj, &log, op0.clone(), op1.clone())
-            };
-            let mut sched = Scripted::new(script.to_vec());
-            let outcome = world.run(programs, &mut sched, 2_000);
-            transcripts.push(log.transcript(&outcome));
-            outcome
-        },
+    let transcripts = Mutex::new(Vec::new());
+    let explorer = Explorer {
         max_runs,
-        |_, _| {},
-    );
-    let tree = HistoryTree::from_transcripts(&transcripts);
+        mode: PruneMode::Unpruned,
+        ..Explorer::default()
+    };
+    let explored = explorer.explore(|driver| {
+        let world = SimWorld::new(2);
+        let mem = world.mem();
+        let log: EventLog<SimpleSpec<T>> = EventLog::new(&world);
+        let builder = ObjectBuilder::on(&mem).processes(2);
+        let programs: Vec<Program> = if sl_root {
+            let obj = builder.universal(ty.clone());
+            mk_programs(&obj, &log, op0.clone(), op1.clone())
+        } else {
+            let root = builder.atomic_snapshot::<NodeRef<T>>();
+            let obj = Universal::new(ty.clone(), root, 2);
+            mk_programs(&obj, &log, op0.clone(), op1.clone())
+        };
+        let outcome = world.run(programs, driver, 2_000);
+        transcripts.lock().unwrap().push(log.transcript(&outcome));
+        outcome
+    });
+    let tree = HistoryTree::from_transcripts(&transcripts.into_inner().unwrap());
     let report = check_strongly_linearizable(&SimpleSpec(ty), &tree);
     (explored.runs, explored.exhausted, report.holds)
 }

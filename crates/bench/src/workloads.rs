@@ -127,9 +127,9 @@ pub fn dist_ops(name: &str) -> Option<Vec<Vec<AbaOp<u64>>>> {
 }
 
 /// Parses the prune-mode name that travels in `hello` frames
-/// ([`PruneMode::name`] round trip). Only the DPOR modes the dispatched
-/// explorer accepts appear here; `StaticDpor` is excluded because its
-/// certificate cannot travel by name alone.
+/// ([`PruneMode::name`] round trip) for the modes the fleet workloads
+/// run; `StaticDpor` is excluded because its certificate cannot travel
+/// by name alone.
 pub fn dist_mode(name: &str) -> Option<PruneMode> {
     match name {
         "SourceDpor" => Some(PruneMode::SourceDpor),

@@ -119,8 +119,8 @@ fn explore_sl_aba_dag(
 }
 
 /// [`explore_sl_aba_dag`] over the materialised prefix tree — for the
-/// cross-mode equivalence tests, which need unordered ingestion (frame
-/// modes ingest out of depth-first order).
+/// cross-mode equivalence tests, which run the tree checkers (memoised
+/// and unmemoised) on it.
 fn explore_sl_aba_tree(
     writers: &[u64],
     readers: &[u64],
@@ -249,8 +249,8 @@ fn sl_aba_three_process_mixed_deep() {
     );
 }
 
-/// Pruning soundness cross-check: unpruned, sleep-set, source-DPOR,
-/// value-DPOR, and optimal-DPOR explorations give the same
+/// Pruning soundness cross-check: unpruned, source-DPOR, value-DPOR,
+/// and optimal-DPOR explorations give the same
 /// strong-linearizability verdict (and conflict depth), and the
 /// memoised and unmemoised checkers agree on each tree.
 #[test]
@@ -264,12 +264,11 @@ fn all_explorer_modes_and_checkers_agree() {
             explore_sl_aba_tree(&[writes], &[reads], &explorer)
         };
         let (uo, utree) = explore_with(PruneMode::Unpruned);
-        let (so, stree) = explore_with(PruneMode::SleepSet);
         let (po, ptree) = explore_with(PruneMode::SourceDpor);
         let (vo, vtree) = explore_with(PruneMode::ValueDpor);
         let (oo, otree) = explore_with(PruneMode::OptimalDpor);
-        assert!(uo.exhausted && so.exhausted && po.exhausted && vo.exhausted && oo.exhausted);
-        assert!(po.runs <= uo.runs && so.runs <= uo.runs);
+        assert!(uo.exhausted && po.exhausted && vo.exhausted && oo.exhausted);
+        assert!(po.runs <= uo.runs);
         assert!(
             vo.schedules_replayed() <= po.schedules_replayed(),
             "value-aware DPOR must never replay more than syntactic DPOR"
@@ -282,11 +281,9 @@ fn all_explorer_modes_and_checkers_agree() {
         assert!(ptree.node_count() <= utree.node_count());
         let spec = ASpec::new(2);
         let uv = check_strongly_linearizable(&spec, &utree);
-        let sv = check_strongly_linearizable(&spec, &stree);
         let pv = check_strongly_linearizable(&spec, &ptree);
         let vv = check_strongly_linearizable(&spec, &vtree);
         let ov = check_strongly_linearizable(&spec, &otree);
-        assert_eq!(uv.holds, sv.holds, "sleep sets changed the verdict");
         assert_eq!(uv.holds, pv.holds, "source DPOR changed the verdict");
         assert_eq!(uv.holds, vv.holds, "value-aware DPOR changed the verdict");
         assert_eq!(uv.holds, ov.holds, "optimal DPOR changed the verdict");
@@ -410,19 +407,10 @@ fn randomized_differential_modes_and_workers() {
             PruneMode::ValueDpor,
             PruneMode::OptimalDpor,
             PruneMode::SourceDpor,
-            PruneMode::SleepSet,
             PruneMode::Unpruned,
         ] {
-            // The partitioned parallel engine only serves the DPOR
-            // modes; the frame modes' (older) parallel frontier gets a
-            // lighter sweep.
-            let dpor = matches!(
-                mode,
-                PruneMode::SourceDpor | PruneMode::ValueDpor | PruneMode::OptimalDpor
-            );
-            let worker_counts: &[usize] = if dpor { &[1, 2, 4, 8] } else { &[1, 4] };
             let mut reference: Option<(sl_sim::ExploreOutcome, u64, bool)> = None;
-            for &workers in worker_counts {
+            for workers in [1, 2, 4, 8] {
                 let explorer = Explorer {
                     max_runs: 1_000_000,
                     mode,
@@ -430,18 +418,9 @@ fn randomized_differential_modes_and_workers() {
                     stem: vec![],
                     statics: None,
                 };
-                // The DAG path shards per subtree in DPOR mode and
-                // falls back to the materialised tree for frame modes;
-                // either way the structural hash is content-based.
-                let (out, hash, verdict) = if dpor {
-                    let (out, dag) = explore_sl_aba_dag(&writers, &readers, &explorer);
-                    let verdict = check_strongly_linearizable_dag(&spec, &dag).holds;
-                    (out, dag.structural_hash(), verdict)
-                } else {
-                    let (out, tree) = explore_sl_aba_tree(&writers, &readers, &explorer);
-                    let verdict = check_strongly_linearizable(&spec, &tree).holds;
-                    (out, TreeDag::from_tree(&tree).structural_hash(), verdict)
-                };
+                let (out, dag) = explore_sl_aba_dag(&writers, &readers, &explorer);
+                let verdict = check_strongly_linearizable_dag(&spec, &dag).holds;
+                let hash = dag.structural_hash();
                 assert!(out.exhausted, "round {round} {mode:?} at {workers} workers");
                 match &reference {
                     None => reference = Some((out, hash, verdict)),

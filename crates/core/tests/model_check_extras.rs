@@ -8,17 +8,48 @@
 //! max-register derived from the strongly linearizable snapshot
 //! (model-checked positively below).
 
+use std::sync::Mutex;
+
 use sl_check::TreeBuilder;
 use sl_check::{check_linearizable, check_strongly_linearizable, HistoryTree};
 use sl_core::{
     BoundedMaxRegister, SnapshotHandle, SnapshotObject, UnaryMaxRegister, VersionedSlSnapshot,
 };
 use sl_sim::{
-    explore, EventLog, Explorer, Program, PruneMode, RunConfig, ScheduleDriver, Scripted,
-    SeededRandom, SimWorld,
+    EventLog, ExploreOutcome, Explorer, Program, PruneMode, RunConfig, ScheduleDriver,
+    SeededRandom, SimMem, SimWorld,
 };
 use sl_spec::types::{MaxRegisterSpec, SnapshotSpec};
 use sl_spec::{MaxRegisterOp, MaxRegisterResp, ProcId, SnapshotOp, SnapshotResp};
+
+type MaxTranscript = Vec<sl_check::TreeStep<MaxRegisterSpec>>;
+
+/// Explores every schedule (up to `max_runs`) of the `n` programs
+/// `build` makes over a fresh world's memory and event log, unpruned,
+/// with a per-run step budget; returns the outcome and every run's
+/// transcript.
+fn max_register_transcripts(
+    n: usize,
+    step_budget: u64,
+    max_runs: usize,
+    build: impl Fn(&SimMem, &EventLog<MaxRegisterSpec>) -> Vec<Program> + Sync,
+) -> (ExploreOutcome, Vec<MaxTranscript>) {
+    let transcripts = Mutex::new(Vec::new());
+    let explorer = Explorer {
+        max_runs,
+        mode: PruneMode::Unpruned,
+        ..Explorer::default()
+    };
+    let explored = explorer.explore(|driver| {
+        let world = SimWorld::new(n);
+        let log = EventLog::new(&world);
+        let programs = build(&world.mem(), &log);
+        let outcome = world.run(programs, driver, step_budget);
+        transcripts.lock().unwrap().push(log.transcript(&outcome));
+        outcome
+    });
+    (explored, transcripts.into_inner().unwrap())
+}
 
 /// HHW (paper reference [12]): the Aspnes–Attiya–Censor bounded
 /// max-register is strongly linearizable — exhaustively checked for a
@@ -27,39 +58,27 @@ use sl_spec::{MaxRegisterOp, MaxRegisterResp, ProcId, SnapshotOp, SnapshotResp};
 #[test]
 fn bounded_max_register_strongly_linearizable_exhaustive() {
     for write_value in [1u64, 2, 3] {
-        let mut transcripts = Vec::new();
-        let explored = explore(
-            |script| {
-                let world = SimWorld::new(2);
-                let mem = world.mem();
-                let m = BoundedMaxRegister::new(&mem, 4);
-                let log: EventLog<MaxRegisterSpec> = EventLog::new(&world);
-                let m0 = m.clone();
-                let l0 = log.clone();
-                let m1 = m.clone();
-                let l1 = log.clone();
-                let programs: Vec<Program> = vec![
-                    Box::new(move |ctx| {
-                        ctx.pause();
-                        let id = l0.invoke(ctx.proc_id(), MaxRegisterOp::MaxWrite(write_value));
-                        m0.max_write(write_value);
-                        l0.respond(id, MaxRegisterResp::Ack);
-                    }),
-                    Box::new(move |ctx| {
-                        ctx.pause();
-                        let id = l1.invoke(ctx.proc_id(), MaxRegisterOp::MaxRead);
-                        let v = m1.max_read();
-                        l1.respond(id, MaxRegisterResp::Value(v));
-                    }),
-                ];
-                let mut sched = Scripted::new(script.to_vec());
-                let outcome = world.run(programs, &mut sched, 200);
-                transcripts.push(log.transcript(&outcome));
-                outcome
-            },
-            20_000,
-            |_, _| {},
-        );
+        let (explored, transcripts) = max_register_transcripts(2, 200, 20_000, |mem, log| {
+            let m = BoundedMaxRegister::new(mem, 4);
+            let m0 = m.clone();
+            let l0 = log.clone();
+            let m1 = m.clone();
+            let l1 = log.clone();
+            vec![
+                Box::new(move |ctx| {
+                    ctx.pause();
+                    let id = l0.invoke(ctx.proc_id(), MaxRegisterOp::MaxWrite(write_value));
+                    m0.max_write(write_value);
+                    l0.respond(id, MaxRegisterResp::Ack);
+                }),
+                Box::new(move |ctx| {
+                    ctx.pause();
+                    let id = l1.invoke(ctx.proc_id(), MaxRegisterOp::MaxRead);
+                    let v = m1.max_read();
+                    l1.respond(id, MaxRegisterResp::Value(v));
+                }),
+            ]
+        });
         assert!(explored.exhausted, "value {write_value}: not exhausted");
         let tree = HistoryTree::from_transcripts(&transcripts);
         let report = check_strongly_linearizable(&MaxRegisterSpec, &tree);
@@ -153,43 +172,30 @@ fn snapshot_derived_max_register_strong_bounded_check() {
 /// reproduce. See DESIGN.md.)
 #[test]
 fn unary_max_register_linearizable_exhaustive() {
-    let mut transcripts = Vec::new();
-    let explored = explore(
-        |script| {
-            let world = SimWorld::new(2);
-            let mem = world.mem();
-            let m: UnaryMaxRegister<u64, _> = UnaryMaxRegister::new(&mem, "m");
-            // Pre-size the array (the model is a static infinite array;
-            // growth is bookkeeping, not a shared step).
-            m.reserve(4);
-            let log: EventLog<MaxRegisterSpec> = EventLog::new(&world);
-            let m0 = m.clone();
-            let l0 = log.clone();
-            let m1 = m.clone();
-            let l1 = log.clone();
-            let programs: Vec<Program> = vec![
-                Box::new(move |ctx| {
-                    ctx.pause();
-                    let id = l0.invoke(ctx.proc_id(), MaxRegisterOp::MaxWrite(2));
-                    m0.max_write(2, 2);
-                    l0.respond(id, MaxRegisterResp::Ack);
-                }),
-                Box::new(move |ctx| {
-                    ctx.pause();
-                    let id = l1.invoke(ctx.proc_id(), MaxRegisterOp::MaxRead);
-                    let (v, _) = m1.max_read();
-                    l1.respond(id, MaxRegisterResp::Value(v));
-                }),
-            ];
-            let mut sched = Scripted::new(script.to_vec());
-            let outcome = world.run(programs, &mut sched, 200);
-            transcripts.push(log.transcript(&outcome));
-            outcome
-        },
-        20_000,
-        |_, _| {},
-    );
-    let _ = explored;
+    let (_, transcripts) = max_register_transcripts(2, 200, 20_000, |mem, log| {
+        let m: UnaryMaxRegister<u64, _> = UnaryMaxRegister::new(mem, "m");
+        // Pre-size the array (the model is a static infinite array;
+        // growth is bookkeeping, not a shared step).
+        m.reserve(4);
+        let m0 = m.clone();
+        let l0 = log.clone();
+        let m1 = m.clone();
+        let l1 = log.clone();
+        vec![
+            Box::new(move |ctx| {
+                ctx.pause();
+                let id = l0.invoke(ctx.proc_id(), MaxRegisterOp::MaxWrite(2));
+                m0.max_write(2, 2);
+                l0.respond(id, MaxRegisterResp::Ack);
+            }),
+            Box::new(move |ctx| {
+                ctx.pause();
+                let id = l1.invoke(ctx.proc_id(), MaxRegisterOp::MaxRead);
+                let (v, _) = m1.max_read();
+                l1.respond(id, MaxRegisterResp::Value(v));
+            }),
+        ]
+    });
     for t in &transcripts {
         let mut h: sl_spec::History<MaxRegisterSpec> = sl_spec::History::new();
         for step in t {
@@ -299,44 +305,33 @@ enum ReadVariant {
     DoubleCollect,
 }
 
-fn two_writer_transcripts(variant: ReadVariant) -> Vec<Vec<sl_check::TreeStep<MaxRegisterSpec>>> {
-    let mut transcripts = Vec::new();
-    let _ = explore(
-        |script| {
-            let world = SimWorld::new(3);
-            let mem = world.mem();
-            let m = BoundedMaxRegister::new(&mem, 4);
-            let log: EventLog<MaxRegisterSpec> = EventLog::new(&world);
-            let mut programs: Vec<Program> = Vec::new();
-            for value in [1u64, 3] {
-                let m = m.clone();
-                let log = log.clone();
-                programs.push(Box::new(move |ctx| {
-                    ctx.pause();
-                    let id = log.invoke(ctx.proc_id(), MaxRegisterOp::MaxWrite(value));
-                    m.max_write(value);
-                    log.respond(id, MaxRegisterResp::Ack);
-                }));
-            }
-            let m2 = m.clone();
-            let l2 = log.clone();
+fn two_writer_transcripts(variant: ReadVariant) -> Vec<MaxTranscript> {
+    let (_, transcripts) = max_register_transcripts(3, 400, 30_000, |mem, log| {
+        let m = BoundedMaxRegister::new(mem, 4);
+        let mut programs: Vec<Program> = Vec::new();
+        for value in [1u64, 3] {
+            let m = m.clone();
+            let log = log.clone();
             programs.push(Box::new(move |ctx| {
                 ctx.pause();
-                let id = l2.invoke(ctx.proc_id(), MaxRegisterOp::MaxRead);
-                let v = match variant {
-                    ReadVariant::TopDown => m2.max_read(),
-                    ReadVariant::DoubleCollect => m2.max_read_double_collect(),
-                };
-                l2.respond(id, MaxRegisterResp::Value(v));
+                let id = log.invoke(ctx.proc_id(), MaxRegisterOp::MaxWrite(value));
+                m.max_write(value);
+                log.respond(id, MaxRegisterResp::Ack);
             }));
-            let mut sched = Scripted::new(script.to_vec());
-            let outcome = world.run(programs, &mut sched, 400);
-            transcripts.push(log.transcript(&outcome));
-            outcome
-        },
-        30_000,
-        |_, _| {},
-    );
+        }
+        let m2 = m.clone();
+        let l2 = log.clone();
+        programs.push(Box::new(move |ctx| {
+            ctx.pause();
+            let id = l2.invoke(ctx.proc_id(), MaxRegisterOp::MaxRead);
+            let v = match variant {
+                ReadVariant::TopDown => m2.max_read(),
+                ReadVariant::DoubleCollect => m2.max_read_double_collect(),
+            };
+            l2.respond(id, MaxRegisterResp::Value(v));
+        }));
+        programs
+    });
     transcripts
 }
 

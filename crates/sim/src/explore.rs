@@ -1,68 +1,92 @@
 //! Bounded exhaustive exploration of scheduling choices.
 //!
-//! Two generations of explorer live here:
+//! [`Explorer`] is a stateless depth-first schedule explorer for the
+//! step VM. The caller's runner executes a world per schedule under a
+//! [`ScheduleDriver`] (an adversarial [`Scheduler`] handed to
+//! `SimWorld::run`); the driver replays a decision prefix and extends
+//! it depth-first. One engine — source-set dynamic partial-order
+//! reduction over the VM's declared [`PendingAccess`]es, with sleep
+//! sets, vector-clock race detection, and per-subtree parallel tasks —
+//! serves every [`PruneMode`]; the modes differ only in the
+//! independence relation it runs under:
 //!
-//! * [`explore`] — the original script-replay enumerator, kept for
-//!   compatibility. It re-derives branch points from
-//!   `RunOutcome::decisions` after each run and prunes nothing.
-//! * [`Explorer`] — the stateless depth-first explorer built for the
-//!   step VM. The caller's runner executes a world per schedule under a
-//!   [`ScheduleDriver`] (an adversarial [`Scheduler`] handed to
-//!   `SimWorld::run`); the driver replays a decision prefix, extends it
-//!   depth-first, and prunes per the configured [`PruneMode`]:
+//! - [`PruneMode::Unpruned`] is DPOR under the **all-dependent**
+//!   relation: every pair of steps by different processes conflicts.
+//!   It explores the full interleaving tree, every schedule exactly
+//!   once, and is kept as the **reference oracle** the reductions
+//!   below are checked against (see *The unpruned reference oracle*).
+//! - [`PruneMode::SourceDpor`] runs **source-set dynamic partial-order
+//!   reduction** (the wakeup-free variant of Abdulla–Aronis–Jonsson–
+//!   Sagonas SDPOR) over the syntactic relation
+//!   [`PendingAccess::independent`]: accesses by different processes
+//!   to different registers commute. The explorer detects *races* in
+//!   each executed schedule with vector clocks and backtracks only
+//!   where a reversal is actually demanded; sleep sets cut the
+//!   remaining redundant continuations.
+//! - [`PruneMode::ValueDpor`] (the default) is source-set DPOR with a
+//!   **value-aware** independence relation for race detection: two
+//!   same-register steps additionally commute when they are a
+//!   read/read pair, or a write/write pair storing the *same*
+//!   (interned) value — provided no high-level event marker rode on
+//!   either step's activation. The execution metadata (value id +
+//!   event flag) is observed post-hoc from the recorded trace, so
+//!   only *race detection* is refined; sleep-set filtering keeps the
+//!   conservative syntactic relation (see the soundness section).
+//! - [`PruneMode::StaticDpor`] is value-aware DPOR plus a **static
+//!   placement relaxation** licensed by an `sl-analyze` footprint
+//!   certificate ([`crate::StaticConflicts`]): a `Local` (pause)
+//!   step carrying at most an *invocation* marker commutes with a
+//!   marker-free data step on a certificate-licensed register,
+//!   cutting the invocation-placement branching that dominates
+//!   mixed-role workloads. Every dynamically detected data race is
+//!   validated against the certificate's may-conflict matrix, and
+//!   an unpredicted race aborts the exploration — the static
+//!   analysis is load-bearing but fail-closed.
+//! - [`PruneMode::OptimalDpor`] upgrades the wakeup-free source sets
+//!   to **wakeup sequences**: a detected race inserts the entire
+//!   reversing continuation (not just its first process) into the
+//!   racing node's wakeup queue, and backtracking replays that
+//!   sequence wholesale before extending freely — so exploration
+//!   never *initiates* a run that sleep sets would abandon. Race
+//!   detection additionally uses the **observer** refinement: two
+//!   same-register writes commute whenever neither written value is
+//!   observed before being overwritten. A static certificate is
+//!   consulted when installed (enabling the placement relaxation)
+//!   but, unlike [`PruneMode::StaticDpor`], is not required.
 //!
-//!   - [`PruneMode::Unpruned`] branches on every enabled process at
-//!     every decision — the full schedule tree.
-//!   - [`PruneMode::SleepSet`] additionally maintains **sleep sets**
-//!     over the VM's declared [`PendingAccess`]es, so schedules
-//!     differing only in the order of commuting steps (accesses by
-//!     different processes to different registers) are explored once.
-//!     Branches are still recorded for every non-sleeping sibling, and
-//!     frames are distributed over a work-stealing pool of workers.
-//!   - [`PruneMode::SourceDpor`] runs **source-set dynamic
-//!     partial-order reduction** (the wakeup-free variant of
-//!     Abdulla–Aronis–Jonsson–Sagonas SDPOR) on top of the same sleep
-//!     sets: instead of eagerly branching on every sibling, the
-//!     explorer detects *races* in each executed schedule with vector
-//!     clocks over the declared accesses, and backtracks only where a
-//!     reversal is actually demanded. Schedules that sleep sets would
-//!     replay just to cut are mostly never scheduled at all.
-//!   - [`PruneMode::ValueDpor`] (the default) is source-set DPOR with a
-//!     **value-aware** independence relation for race detection: two
-//!     same-register steps additionally commute when they are a
-//!     read/read pair, or a write/write pair storing the *same*
-//!     (interned) value — provided no high-level event marker rode on
-//!     either step's activation. The execution metadata (value id +
-//!     event flag) is observed post-hoc from the recorded trace, so
-//!     only *race detection* is refined; sleep-set filtering keeps the
-//!     conservative syntactic relation (see the soundness section).
-//!   - [`PruneMode::StaticDpor`] is value-aware DPOR plus a **static
-//!     placement relaxation** licensed by an `sl-analyze` footprint
-//!     certificate ([`crate::StaticConflicts`]): a `Local` (pause)
-//!     step carrying at most an *invocation* marker commutes with a
-//!     marker-free data step on a certificate-licensed register,
-//!     cutting the invocation-placement branching that dominates
-//!     mixed-role workloads. Every dynamically detected data race is
-//!     validated against the certificate's may-conflict matrix, and
-//!     an unpredicted race aborts the exploration — the static
-//!     analysis is load-bearing but fail-closed.
-//!   - [`PruneMode::OptimalDpor`] upgrades the wakeup-free source sets
-//!     to **wakeup sequences**: a detected race inserts the entire
-//!     reversing continuation (not just its first process) into the
-//!     racing node's wakeup queue, and backtracking replays that
-//!     sequence wholesale before extending freely — so exploration
-//!     never *initiates* a run that sleep sets would abandon. Race
-//!     detection additionally uses the **observer** refinement: two
-//!     same-register writes commute whenever neither written value is
-//!     observed before being overwritten. A static certificate is
-//!     consulted when installed (enabling the placement relaxation)
-//!     but, unlike [`PruneMode::StaticDpor`], is not required.
+//! # The unpruned reference oracle
+//!
+//! A strong-linearizability verdict depends on every schedule a strong
+//! adaptive adversary can produce, so the checker's reference is the
+//! full interleaving tree. [`PruneMode::Unpruned`] obtains it from the
+//! same engine by making every step of one process depend on every
+//! step of another (Abdulla et al., *Source Sets: A Foundation for
+//! Optimal Dynamic Partial Order Reduction*, JACM 2017: under the
+//! all-dependent relation every interleaving is its own Mazurkiewicz
+//! trace). The relation is consulted at the three places the engine
+//! asks [`PendingAccess::independent`] — sleep-set filtering
+//! ([`filter_independent`]), the wakeup-sequence side condition
+//! ([`seq_wakes_all`]) and race detection ([`step_independent`]):
+//!
+//! * sleep-set filtering keeps nothing, so every sleep set is empty,
+//!   no replay is ever cut, and nothing is counted as pruned;
+//! * happens-before is the execution order itself, so the races of a
+//!   word are exactly its adjacent pairs of steps by different
+//!   processes, and each reversal adds the later step's process to the
+//!   earlier step's backtrack set. If process `r` is enabled at node
+//!   `j` but chosen later, its next step races with its predecessor;
+//!   exploring that reversal moves `r` one node up, and so on until
+//!   `r` is explored at `j`. Every enabled process is therefore
+//!   explored at every node, each schedule exactly once.
+//!
+//! Because it is the ordinary engine, the oracle checkpoints, resumes,
+//! and dispatches subtree tasks like every other mode, and its counts
+//! are bit-identical at any worker count.
 //!
 //! # Parallel source-set DPOR
 //!
-//! Source DPOR's backtrack sets mutate while descendants run, which
-//! pinned exploration to a sequential spine until this revision. The
-//! explorer now parallelises it with **per-subtree ownership**: when a
+//! Source DPOR's backtrack sets mutate while descendants run. The
+//! explorer parallelises it with **per-subtree ownership**: when a
 //! decision node holds several unexplored backtrack candidates, the
 //! owning worker keeps the first as its own continuation and publishes
 //! the rest as frozen [`SubtreeTask`]s — decision prefix, the declared
@@ -318,12 +342,11 @@
 //! schedule set stays bit-identical at any worker count.
 //!
 //! All of this is **conservative**, and the pruned-vs-unpruned (and
-//! DPOR-vs-sleep-set, and parallel-vs-sequential) verdict-equivalence
-//! tests in the model-check and fuzz suites cross-check it on small
-//! configurations.
+//! parallel-vs-sequential) verdict-equivalence tests in the model-check
+//! and fuzz suites cross-check it on small configurations.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use sl_check::{OpSym, RegSym, ValueId};
@@ -346,8 +369,9 @@ pub struct ExploreOutcome {
     /// `false` if exploration stopped at `max_runs` with schedules
     /// left, drained to a checkpoint, or quarantined a subtree.
     pub exhausted: bool,
-    /// Number of branch candidates skipped by pruning (0 when pruning
-    /// is off or the legacy [`explore`] entry point is used).
+    /// Number of branch candidates skipped by pruning (always 0 under
+    /// [`PruneMode::Unpruned`], which explores every enabled process at
+    /// every decision).
     pub pruned: u64,
     /// Number of replays abandoned mid-run because every enabled
     /// process was sleeping — continuations that sleep-set theory
@@ -379,22 +403,6 @@ impl ExploreOutcome {
     /// quantity that bounds exploration wall-clock.
     pub fn schedules_replayed(&self) -> usize {
         self.runs + self.cut_runs
-    }
-
-    /// An outcome with no robustness events (no retries, quarantines,
-    /// or drains) — the frame explorers and the legacy entry point.
-    fn clean(runs: usize, exhausted: bool, pruned: u64, cut_runs: usize) -> ExploreOutcome {
-        ExploreOutcome {
-            runs,
-            exhausted,
-            pruned,
-            cut_runs,
-            retried: 0,
-            quarantined: 0,
-            drained: false,
-            partial: false,
-            poisoned: Vec::new(),
-        }
     }
 }
 
@@ -441,62 +449,18 @@ fn env_workers_of(s: &str) -> usize {
     }
 }
 
-/// Explores the schedule space of a deterministic simulated system
-/// (legacy script-replay interface).
-///
-/// `run_with_script` must build a **fresh** world (same programs, same
-/// initial state) and run it under a [`crate::Scripted`] scheduler
-/// seeded with the given decision prefix; it returns the run's
-/// [`RunOutcome`]. `visit` is called once per executed run.
-///
-/// Exploration is depth-first and stops after `max_runs` runs; the
-/// returned [`ExploreOutcome`] says whether the space was exhausted.
-/// No pruning is performed; prefer [`Explorer`] for new code.
-pub fn explore<F, V>(mut run_with_script: F, max_runs: usize, mut visit: V) -> ExploreOutcome
-where
-    F: FnMut(&[usize]) -> RunOutcome,
-    V: FnMut(&[usize], &RunOutcome),
-{
-    let mut stack: Vec<Vec<usize>> = vec![Vec::new()];
-    let mut runs = 0;
-    while let Some(script) = stack.pop() {
-        if runs >= max_runs {
-            return ExploreOutcome::clean(runs, false, 0, 0);
-        }
-        let outcome = run_with_script(&script);
-        runs += 1;
-        // Branch on every decision beyond the replayed prefix: the next
-        // scripts share the actually-chosen decisions up to that point
-        // and substitute one alternative.
-        for (i, d) in outcome.decisions.iter().enumerate().skip(script.len()) {
-            for &alt in d.runnable.iter().rev() {
-                if alt == d.chosen {
-                    continue;
-                }
-                let mut next: Vec<usize> =
-                    outcome.decisions[..i].iter().map(|d| d.chosen).collect();
-                next.push(alt);
-                stack.push(next);
-            }
-        }
-        visit(&script, &outcome);
-    }
-    ExploreOutcome::clean(runs, true, 0, 0)
-}
-
-/// How the [`Explorer`] prunes the schedule tree. See the module docs
-/// for the four levels and the soundness arguments.
+/// How the [`Explorer`] prunes the schedule tree: the independence
+/// relation its one DPOR engine runs under. See the module docs for
+/// the levels and the soundness arguments.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum PruneMode {
-    /// Branch on every enabled process at every decision.
+    /// DPOR under the all-dependent relation: every enabled process is
+    /// explored at every decision — the full interleaving tree, each
+    /// schedule once, nothing cut or pruned. The reference oracle.
     Unpruned,
-    /// Sleep sets over declared pending accesses; parallel frontier.
-    SleepSet,
     /// Source-set DPOR (wakeup-free) + sleep sets over the syntactic
     /// independence relation: backtrack only at detected races.
-    /// Parallelised by per-subtree ownership (see the module docs);
-    /// typically replays far fewer schedules than
-    /// [`PruneMode::SleepSet`].
+    /// Parallelised by per-subtree ownership (see the module docs).
     SourceDpor,
     /// Source-set DPOR with **value-aware** race detection (the
     /// default): same-register read/read pairs and same-value
@@ -531,13 +495,12 @@ pub enum PruneMode {
 }
 
 impl PruneMode {
-    /// Stable name recorded in checkpoint metadata; resume rejects a
-    /// checkpoint taken under a different mode (the frontier encoding
-    /// is mode-specific).
+    /// Stable name recorded in checkpoint and dispatch metadata; resume
+    /// rejects a checkpoint taken under a different mode (the backtrack
+    /// sets a frontier holds depend on the relation).
     pub fn name(self) -> &'static str {
         match self {
             PruneMode::Unpruned => "Unpruned",
-            PruneMode::SleepSet => "SleepSet",
             PruneMode::SourceDpor => "SourceDpor",
             PruneMode::ValueDpor => "ValueDpor",
             PruneMode::StaticDpor => "StaticDpor",
@@ -552,15 +515,14 @@ impl PruneMode {
 /// for a reusable [`crate::SimWorld`], scratch buffers, and transcript
 /// sinks.
 ///
-/// The two hooks bracket **subtrees** in source-DPOR mode: every
-/// delegated [`SubtreeTask`] a worker executes (and the root
-/// exploration itself) is wrapped in `subtree_begin`/`subtree_end`, and
-/// the replays in between stream that subtree's transcripts in
-/// depth-first order — exactly the contract `sl_check::DagBuilder`
-/// needs, so a context can keep a stack of DFS-ordered shards (tasks
-/// nest when a worker helps with another task while waiting at a join)
-/// and merge them afterwards. Frame modes call the hooks once per
-/// worker.
+/// The two hooks bracket **subtrees**: every delegated [`SubtreeTask`]
+/// a worker executes (and the root exploration itself) is wrapped in
+/// `subtree_begin`/`subtree_end`, and the replays in between stream
+/// that subtree's transcripts in depth-first order — in every mode.
+/// That is exactly the contract `sl_check::DagBuilder` needs, so a
+/// context can keep a stack of DFS-ordered shards (tasks nest when a
+/// worker helps with another task while waiting at a join) and merge
+/// them afterwards.
 pub trait ReplayCtx {
     /// A new subtree's replays start after this call.
     fn subtree_begin(&mut self) {}
@@ -570,16 +532,8 @@ pub trait ReplayCtx {
 
 impl ReplayCtx for () {}
 
-/// One unexplored node of the schedule tree: the decision prefix that
-/// reaches it and the sleep set holding there.
-#[derive(Clone, Debug)]
-struct Frame {
-    script: Vec<usize>,
-    sleep: u64,
-}
-
-/// One decision observed by a DPOR-mode driver: the configuration at
-/// the decision point (the chosen process is in the driver's script).
+/// One decision observed by the driver: the configuration at the
+/// decision point (the chosen process is in the driver's script).
 struct Observed {
     runnable: Vec<usize>,
     pending: Vec<PendingAccess>,
@@ -634,37 +588,11 @@ impl ExecMeta {
     };
 }
 
-enum DriverMode {
-    /// Record every eligible sibling as a frame (Unpruned / SleepSet).
-    Frames { prune: bool, branches: Vec<Frame> },
-    /// Record the observed configuration of each decision from
-    /// `record_from` onwards for post-run race detection (the DPOR
-    /// modes), plus per-decision execution metadata for value-aware
-    /// race detection.
-    Dpor {
-        record_from: usize,
-        observed: Vec<Observed>,
-        /// Execution metadata per decision, aligned with `chosen`;
-        /// decision `i` is finalised at decision `i + 1` (or at
-        /// [`Scheduler::run_end`]), when its step is in the trace.
-        exec: Vec<ExecMeta>,
-        /// Trace items consumed by exec finalisation so far.
-        trace_seen: usize,
-        /// The op each process is currently executing (indexed by
-        /// process id, grown on demand): set by the invocation marker
-        /// riding a step's activation, cleared by a response marker.
-        /// Deterministic — metadata is observed from decision 0 in
-        /// every replay, so the attribution replays identically.
-        cur_op: Vec<OpSym>,
-    },
-}
-
 /// The adversarial scheduler driving one replay of the depth-first
-/// explorer: replays the frame's decision prefix, then extends the
-/// schedule (lowest eligible process first). In frame mode it records
-/// every eligible sibling as a new frame with its sleep set; in DPOR
-/// mode it records each decision's configuration so the explorer can
-/// detect races afterwards.
+/// explorer: replays the decision prefix, then extends the schedule
+/// (lowest awake process first), and records each decision's
+/// configuration from `record_from` on so the explorer can detect
+/// races afterwards.
 ///
 /// Handed to the caller's runner, which passes it to `SimWorld::run` as
 /// the scheduler of a (fresh or reset) world.
@@ -673,24 +601,40 @@ pub struct ScheduleDriver {
     /// Decisions taken so far in this run.
     chosen: Vec<usize>,
     /// Current sleep set: seeded with the sleep set holding at decision
-    /// `record_from` (DPOR mode) or at the first decision past the
-    /// prefix (frame modes — identical, since frame replays never touch
-    /// it earlier), then evolves across recorded decisions.
+    /// `record_from`, then evolved across recorded decisions.
     z: u64,
-    mode: DriverMode,
+    /// [`PruneMode::Unpruned`]: sleep-set filtering keeps nothing.
+    all_dependent: bool,
+    /// First decision whose configuration is recorded into `observed`.
+    record_from: usize,
+    observed: Vec<Observed>,
+    /// Execution metadata per decision, aligned with `chosen`; decision
+    /// `i` is finalised at decision `i + 1` (or at
+    /// [`Scheduler::run_end`]), when its step is in the trace.
+    exec: Vec<ExecMeta>,
+    /// Trace items consumed by exec finalisation so far.
+    trace_seen: usize,
+    /// The op each process is currently executing (indexed by process
+    /// id, grown on demand): set by the invocation marker riding a
+    /// step's activation, cleared by a response marker. Deterministic —
+    /// metadata is observed from decision 0 in every replay, so the
+    /// attribution replays identically.
+    cur_op: Vec<OpSym>,
     pruned: u64,
     cut: bool,
 }
 
 /// Keeps the bits of `set` whose process's pending access (looked up in
-/// `runnable`/`pending`) is independent of `of`.
+/// `runnable`/`pending`) is independent of `of` — none under the
+/// all-dependent relation.
 fn filter_independent(
     set: u64,
     of: PendingAccess,
     runnable: &[usize],
     pending: &[PendingAccess],
+    all_dependent: bool,
 ) -> u64 {
-    if set == 0 {
+    if set == 0 || all_dependent {
         return 0;
     }
     let mut kept = 0u64;
@@ -710,20 +654,6 @@ fn filter_independent(
 }
 
 impl ScheduleDriver {
-    fn frames(frame: Frame, prune: bool) -> ScheduleDriver {
-        ScheduleDriver {
-            z: frame.sleep,
-            chosen: Vec::with_capacity(frame.script.len() + 16),
-            prefix: frame.script,
-            mode: DriverMode::Frames {
-                prune,
-                branches: Vec::new(),
-            },
-            pruned: 0,
-            cut: false,
-        }
-    }
-
     /// `record_from`: first decision index whose configuration the
     /// explorer still needs (everything below already has a spine
     /// node) — replayed decisions before it are not recorded, which
@@ -731,18 +661,22 @@ impl ScheduleDriver {
     /// the sleep set holding at decision `record_from`; prefix
     /// decisions from there on (the forced steps of a wakeup sequence)
     /// are recorded and evolve it.
-    fn dpor(prefix: Vec<usize>, sleep_at_record: u64, record_from: usize) -> ScheduleDriver {
+    fn dpor(
+        prefix: Vec<usize>,
+        sleep_at_record: u64,
+        record_from: usize,
+        all_dependent: bool,
+    ) -> ScheduleDriver {
         ScheduleDriver {
             z: sleep_at_record,
             chosen: Vec::with_capacity(prefix.len() + 16),
             prefix,
-            mode: DriverMode::Dpor {
-                record_from,
-                observed: Vec::new(),
-                exec: Vec::new(),
-                trace_seen: 0,
-                cur_op: Vec::new(),
-            },
+            all_dependent,
+            record_from,
+            observed: Vec::new(),
+            exec: Vec::new(),
+            trace_seen: 0,
+            cur_op: Vec::new(),
             pruned: 0,
             cut: false,
         }
@@ -751,29 +685,20 @@ impl ScheduleDriver {
     /// Finalises the execution metadata of the previous decision from
     /// the trace items recorded since it was granted: the step's value
     /// id, and whether event markers followed it in the same
-    /// activation. No-op outside DPOR mode.
+    /// activation.
     fn observe_exec(&mut self, trace: &[TraceItem]) {
-        let DriverMode::Dpor {
-            exec,
-            trace_seen,
-            cur_op,
-            ..
-        } = &mut self.mode
-        else {
-            return;
-        };
-        let window = &trace[(*trace_seen).min(trace.len())..];
-        *trace_seen = trace.len();
-        if exec.len() >= self.chosen.len() {
+        let window = &trace[self.trace_seen.min(trace.len())..];
+        self.trace_seen = trace.len();
+        if self.exec.len() >= self.chosen.len() {
             return; // nothing pending (first decision, or already done)
         }
-        let p = self.chosen[exec.len()];
-        if cur_op.len() <= p {
-            cur_op.resize(p + 1, OpSym::NONE);
+        let p = self.chosen[self.exec.len()];
+        if self.cur_op.len() <= p {
+            self.cur_op.resize(p + 1, OpSym::NONE);
         }
         let mut meta = ExecMeta::UNKNOWN;
         // Default attribution: the op the process was already inside.
-        meta.op = cur_op[p];
+        meta.op = self.cur_op[p];
         let mut seen_step = false;
         for item in window {
             match item {
@@ -789,19 +714,36 @@ impl ScheduleDriver {
                     // The step *carries* the invocation: it belongs to
                     // the op it places, as do the following steps.
                     meta.op = *tag;
-                    cur_op[p] = *tag;
+                    self.cur_op[p] = *tag;
                 }
                 TraceItem::Hi(_) if seen_step => {
                     meta.hi = true;
                     meta.resp = true;
                     // Response (or unknown) marker: the activation
                     // completes its op; later steps are outside it.
-                    cur_op[p] = OpSym::NONE;
+                    self.cur_op[p] = OpSym::NONE;
                 }
                 TraceItem::Hi(_) | TraceItem::HiInvoke(..) => {}
             }
         }
-        exec.push(meta);
+        self.exec.push(meta);
+    }
+
+    /// Records the configuration of the current decision, then descends
+    /// along `p`: sleeping processes stay asleep only while the executed
+    /// step commutes with their pending access.
+    fn record_and_descend(&mut self, view: &SchedView<'_>, p: usize) {
+        self.observed.push(Observed {
+            runnable: view.runnable.to_vec(),
+            pending: view.pending.to_vec(),
+            sleep: self.z,
+        });
+        self.z = match view.pending_of(p) {
+            Some(of) => {
+                filter_independent(self.z, of, view.runnable, view.pending, self.all_dependent)
+            }
+            None => 0,
+        };
     }
 
     /// The decision script of the run so far (the full schedule once
@@ -810,7 +752,7 @@ impl ScheduleDriver {
         &self.chosen
     }
 
-    /// How many decisions were replayed from the frame prefix.
+    /// How many decisions were replayed from the prefix.
     pub fn replayed(&self) -> usize {
         self.prefix.len()
     }
@@ -838,32 +780,14 @@ impl Scheduler for ScheduleDriver {
                  (runnable: {:?})",
                 view.runnable
             );
-            if let DriverMode::Dpor {
-                record_from,
-                observed,
-                ..
-            } = &mut self.mode
-            {
-                if i >= *record_from {
-                    observed.push(Observed {
-                        runnable: view.runnable.to_vec(),
-                        pending: view.pending.to_vec(),
-                        sleep: self.z,
-                    });
-                    // Recorded replay decisions are the forced steps of
-                    // a wakeup sequence (or a stem): the sleep set must
-                    // evolve across them exactly as across fresh
-                    // decisions, so the first free decision — and every
-                    // recorded node on the way — sees the sleep set the
-                    // sequential explorer would have. (`z` starts as
-                    // `sleep_after_prefix`, the sleep set holding at
-                    // decision `record_from`.)
-                    if let Some(of) = view.pending_of(want) {
-                        self.z = filter_independent(self.z, of, view.runnable, view.pending);
-                    } else {
-                        self.z = 0;
-                    }
-                }
+            if i >= self.record_from {
+                // Recorded replay decisions are the forced steps of a
+                // wakeup sequence (or a stem): the sleep set must evolve
+                // across them exactly as across fresh decisions, so the
+                // first free decision — and every recorded node on the
+                // way — sees the sleep set the sequential explorer would
+                // have.
+                self.record_and_descend(view, want);
             }
             self.chosen.push(want);
             return want;
@@ -875,19 +799,9 @@ impl Scheduler for ScheduleDriver {
             view.runnable.iter().all(|&p| p < 64),
             "sleep sets support at most 64 processes"
         );
-        let prune = !matches!(self.mode, DriverMode::Frames { prune: false, .. });
         // Candidates: runnable processes not in the sleep set.
-        let mut first: Option<usize> = None;
-        let mut candidates = 0u64;
-        for &p in view.runnable {
-            if !prune || self.z & (1 << p) == 0 {
-                candidates |= 1 << p;
-                if first.is_none() {
-                    first = Some(p);
-                }
-            }
-        }
-        let Some(chosen) = first else {
+        let mut awake = view.runnable.iter().filter(|&&p| self.z & (1 << p) == 0);
+        let Some(&chosen) = awake.next() else {
             // Every enabled process is sleeping: any continuation from
             // here only reorders commuting steps of schedules explored
             // elsewhere. Abandon the run.
@@ -895,49 +809,8 @@ impl Scheduler for ScheduleDriver {
             self.pruned += view.runnable.len() as u64;
             return STOP_RUN;
         };
-        self.pruned += (view.runnable.len() as u64) - (candidates.count_ones() as u64);
-        match &mut self.mode {
-            DriverMode::Frames { prune, branches } => {
-                // Record sibling branches. Sibling `alt` sleeps on the
-                // chosen process and on every candidate listed before
-                // it: exactly one representative interleaving of each
-                // commuting pair survives.
-                let mut acc = self.z | (1 << chosen);
-                for &alt in view.runnable {
-                    if alt == chosen || candidates & (1 << alt) == 0 {
-                        continue;
-                    }
-                    let sleep = if *prune {
-                        // Unknown pending: the conservative LOCAL access
-                        // conflicts with everything.
-                        let of = view.pending_of(alt).unwrap_or(PendingAccess::LOCAL);
-                        filter_independent(acc, of, view.runnable, view.pending)
-                    } else {
-                        0
-                    };
-                    let mut script = self.chosen.clone();
-                    script.push(alt);
-                    branches.push(Frame { script, sleep });
-                    acc |= 1 << alt;
-                }
-            }
-            DriverMode::Dpor { observed, .. } => {
-                observed.push(Observed {
-                    runnable: view.runnable.to_vec(),
-                    pending: view.pending.to_vec(),
-                    sleep: self.z,
-                });
-            }
-        }
-        // Descend along `chosen`: sleeping processes stay asleep only
-        // while the executed steps commute with their pending access.
-        if prune {
-            if let Some(of) = view.pending_of(chosen) {
-                self.z = filter_independent(self.z, of, view.runnable, view.pending);
-            } else {
-                self.z = 0;
-            }
-        }
+        self.pruned += (view.runnable.len() - 1 - awake.count()) as u64;
+        self.record_and_descend(view, chosen);
         self.chosen.push(chosen);
         chosen
     }
@@ -960,8 +833,8 @@ pub struct Explorer {
     /// DPOR).
     pub mode: PruneMode,
     /// Worker threads replaying schedules. `1` explores sequentially on
-    /// the calling thread; source-set DPOR partitions the schedule tree
-    /// into delegated subtrees (deterministic result at any count).
+    /// the calling thread; more partition the schedule tree into
+    /// delegated subtrees (deterministic result at any count).
     pub workers: usize,
     /// Initial decision prefix: exploration covers exactly the
     /// schedules extending this stem (empty = the full space).
@@ -1027,183 +900,13 @@ impl Explorer {
         NF: Fn() -> C + Sync,
         F: Fn(&mut C, &mut ScheduleDriver) + Sync,
     {
-        match self.mode {
-            PruneMode::SourceDpor
-            | PruneMode::ValueDpor
-            | PruneMode::StaticDpor
-            | PruneMode::OptimalDpor => self.explore_dpor(&new_ctx, &runner),
-            PruneMode::Unpruned | PruneMode::SleepSet => {
-                let root = Frame {
-                    script: self.stem.clone(),
-                    sleep: 0,
-                };
-                let prune = self.mode == PruneMode::SleepSet;
-                if self.workers <= 1 {
-                    self.explore_sequential(root, prune, &new_ctx, &runner)
-                } else {
-                    self.explore_parallel(root, prune, &new_ctx, &runner)
-                }
-            }
-        }
-    }
-
-    fn explore_sequential<C, NF, F>(
-        &self,
-        root: Frame,
-        prune: bool,
-        new_ctx: &NF,
-        runner: &F,
-    ) -> ExploreOutcome
-    where
-        C: ReplayCtx,
-        NF: Fn() -> C + Sync,
-        F: Fn(&mut C, &mut ScheduleDriver) + Sync,
-    {
-        let mut ctx = new_ctx();
-        ctx.subtree_begin();
-        let mut stack = vec![root];
-        let mut runs = 0usize;
-        let mut cut_runs = 0usize;
-        let mut pruned = 0u64;
-        let mut exhausted = true;
-        while let Some(frame) = stack.pop() {
-            if runs + cut_runs >= self.max_runs {
-                exhausted = false;
-                break;
-            }
-            let mut driver = ScheduleDriver::frames(frame, prune);
-            runner(&mut ctx, &mut driver);
-            if driver.cut {
-                cut_runs += 1;
-            } else {
-                runs += 1;
-            }
-            pruned += driver.pruned;
-            if let DriverMode::Frames { branches, .. } = &mut driver.mode {
-                stack.append(branches);
-            }
-        }
-        ctx.subtree_end();
-        ExploreOutcome::clean(runs, exhausted, pruned, cut_runs)
-    }
-
-    fn explore_parallel<C, NF, F>(
-        &self,
-        root: Frame,
-        prune: bool,
-        new_ctx: &NF,
-        runner: &F,
-    ) -> ExploreOutcome
-    where
-        C: ReplayCtx,
-        NF: Fn() -> C + Sync,
-        F: Fn(&mut C, &mut ScheduleDriver) + Sync,
-    {
-        let workers = self.workers;
-        let deques: Vec<Mutex<VecDeque<Frame>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        deques[0].lock().unwrap().push_back(root);
-        let runs = AtomicUsize::new(0);
-        let cut_runs = AtomicUsize::new(0);
-        let pruned = AtomicU64::new(0);
-        let active = AtomicUsize::new(0);
-        let capped = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            for me in 0..workers {
-                let deques = &deques;
-                let runs = &runs;
-                let cut_runs = &cut_runs;
-                let pruned = &pruned;
-                let active = &active;
-                let capped = &capped;
-                let max_runs = self.max_runs;
-                scope.spawn(move || {
-                    /// Decrements `active` when dropped, so the count
-                    /// stays correct on every exit path — including a
-                    /// panic inside the runner (a simulated program or
-                    /// a runner assertion failing), which would
-                    /// otherwise leave peers spinning on `active != 0`
-                    /// forever.
-                    struct ActiveGuard<'a>(&'a AtomicUsize);
-                    impl Drop for ActiveGuard<'_> {
-                        fn drop(&mut self) {
-                            self.0.fetch_sub(1, Ordering::SeqCst);
-                        }
-                    }
-                    let mut ctx = new_ctx();
-                    ctx.subtree_begin();
-                    loop {
-                        // `active` is raised *before* looking for work:
-                        // a frame is never out of a deque while its
-                        // holder is invisible to the termination check.
-                        active.fetch_add(1, Ordering::SeqCst);
-                        // Own deque first (LIFO: depth-first locally),
-                        // then steal oldest frames from siblings
-                        // (FIFO: breadth-first stealing splits the tree
-                        // near the root, the classic work-stealing
-                        // shape).
-                        let frame = {
-                            let own = deques[me].lock().unwrap().pop_back();
-                            own.or_else(|| {
-                                (0..workers)
-                                    .filter(|v| *v != me)
-                                    .find_map(|v| deques[v].lock().unwrap().pop_front())
-                            })
-                        };
-                        let Some(frame) = frame else {
-                            active.fetch_sub(1, Ordering::SeqCst);
-                            if active.load(Ordering::SeqCst) == 0 {
-                                // No frames anywhere and nobody holding
-                                // one who could produce more: done.
-                                let empty =
-                                    (0..workers).all(|v| deques[v].lock().unwrap().is_empty());
-                                if empty && active.load(Ordering::SeqCst) == 0 {
-                                    break;
-                                }
-                            }
-                            std::thread::yield_now();
-                            continue;
-                        };
-                        // The guard owns the decrement from here on —
-                        // every exit path, including a runner panic.
-                        let _guard = ActiveGuard(active);
-                        if runs.load(Ordering::SeqCst) + cut_runs.load(Ordering::SeqCst) >= max_runs
-                        {
-                            capped.store(true, Ordering::SeqCst);
-                            break;
-                        }
-                        let mut driver = ScheduleDriver::frames(frame, prune);
-                        runner(&mut ctx, &mut driver);
-                        if driver.cut {
-                            cut_runs.fetch_add(1, Ordering::SeqCst);
-                        } else {
-                            runs.fetch_add(1, Ordering::SeqCst);
-                        }
-                        pruned.fetch_add(driver.pruned, Ordering::Relaxed);
-                        if let DriverMode::Frames { branches, .. } = &mut driver.mode {
-                            if !branches.is_empty() {
-                                let mut own = deques[me].lock().unwrap();
-                                own.extend(branches.drain(..));
-                            }
-                        }
-                    }
-                    ctx.subtree_end();
-                });
-            }
-        });
-        let capped = capped.load(Ordering::SeqCst);
-        ExploreOutcome::clean(
-            runs.load(Ordering::SeqCst),
-            !capped,
-            pruned.load(Ordering::SeqCst),
-            cut_runs.load(Ordering::SeqCst),
-        )
+        self.explore_dpor_session(&new_ctx, &runner, None, None)
     }
 }
 
 // ---------------------------------------------------------------------
 // Source-set DPOR: the task engine shared by the sequential and the
-// partitioned parallel explorer.
+// partitioned parallel explorer, in every mode.
 // ---------------------------------------------------------------------
 
 /// One decision point on a DPOR spine: the configuration, the child
@@ -1272,8 +975,15 @@ type WakeupSeq = Vec<(usize, PendingAccess)>;
 /// which filters its sleep set with the same access-level relation at
 /// every forced decision — has woken every sleeper by the end of the
 /// sequence, so the free extension beyond it can never block.
-fn seq_wakes_all(node: &SpineNode, sleep: u64, seq: &[(usize, PendingAccess)]) -> bool {
-    if sleep == 0 {
+///
+/// Under the all-dependent relation every step wakes every sleeper.
+fn seq_wakes_all(
+    node: &SpineNode,
+    sleep: u64,
+    seq: &[(usize, PendingAccess)],
+    all_dependent: bool,
+) -> bool {
+    if sleep == 0 || all_dependent {
         return true;
     }
     for (i, &p) in node.runnable.iter().enumerate() {
@@ -1333,8 +1043,9 @@ impl StepMeta {
 }
 
 /// Whether two executed steps of *different* processes commute, under
-/// the mode's independence relation. The syntactic half delegates to
-/// [`PendingAccess::independent`]; `value_aware` adds same-register
+/// the mode's independence relation. `all_dependent`
+/// ([`PruneMode::Unpruned`]) commutes nothing. Otherwise the syntactic
+/// half delegates to [`PendingAccess::independent`]; `value_aware` adds same-register
 /// read/read and same-value write/write commutation when no high-level
 /// event marker rode on either step; `observers` (set only in
 /// [`PruneMode::OptimalDpor`]) additionally commutes two writes whose
@@ -1347,10 +1058,14 @@ impl StepMeta {
 fn step_independent(
     a: &StepMeta,
     b: &StepMeta,
+    all_dependent: bool,
     value_aware: bool,
     observers: bool,
     statics: Option<&StaticConflicts>,
 ) -> bool {
+    if all_dependent {
+        return false;
+    }
     if a.access.independent(&b.access) {
         return true;
     }
@@ -1757,11 +1472,15 @@ impl TaskSlot {
     }
 }
 
-/// State shared by every worker of one source-DPOR exploration.
+/// State shared by every worker of one DPOR exploration.
 struct DporShared<'a, NF, F> {
     new_ctx: &'a NF,
     runner: &'a F,
     max_runs: usize,
+    /// [`PruneMode::Unpruned`]: every pair of steps by different
+    /// processes is dependent — in sleep-set filtering, the wakeup
+    /// side condition, and race detection alike.
+    all_dependent: bool,
     /// Race detection uses the value-aware independence relation
     /// ([`PruneMode::ValueDpor`] and up).
     value_aware: bool,
@@ -1808,6 +1527,51 @@ struct DporShared<'a, NF, F> {
 const MAX_HELP_DEPTH: usize = 32;
 
 impl<'a, NF, F> DporShared<'a, NF, F> {
+    /// Shared state for `explorer`'s mode (relation flags and
+    /// certificate) on `workers` deques, with no fault plan and no
+    /// dispatcher.
+    fn new(
+        explorer: &'a Explorer,
+        new_ctx: &'a NF,
+        runner: &'a F,
+        workers: usize,
+        max_runs: usize,
+    ) -> Self {
+        let mode = explorer.mode;
+        let statics = match mode {
+            PruneMode::StaticDpor => Some(explorer.statics.as_deref().expect(
+                "PruneMode::StaticDpor requires Explorer::statics \
+                 (a StaticConflicts certificate from sl-analyze)",
+            )),
+            // Optional for optimal DPOR: consulted when installed.
+            PruneMode::OptimalDpor => explorer.statics.as_deref(),
+            _ => None,
+        };
+        DporShared {
+            new_ctx,
+            runner,
+            max_runs,
+            all_dependent: mode == PruneMode::Unpruned,
+            value_aware: matches!(
+                mode,
+                PruneMode::ValueDpor | PruneMode::StaticDpor | PruneMode::OptimalDpor
+            ),
+            optimal: mode == PruneMode::OptimalDpor,
+            statics,
+            hard_stem: explorer.stem.len(),
+            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            queued: AtomicUsize::new(0),
+            replays: AtomicUsize::new(0),
+            shutdown: AtomicBool::new(false),
+            poison: Mutex::new(None),
+            poisoned: AtomicBool::new(false),
+            fault: None,
+            draining: AtomicBool::new(false),
+            poison_dir: std::env::var_os("SL_POISON_DIR").map(std::path::PathBuf::from),
+            dispatcher: None,
+        }
+    }
+
     fn record_poison(&self, payload: Box<dyn std::any::Any + Send>) {
         let mut slot = self.poison.lock().unwrap();
         if slot.is_none() {
@@ -1848,19 +1612,7 @@ impl<'a, NF, F> DporShared<'a, NF, F> {
 }
 
 impl Explorer {
-    /// Source-set DPOR exploration: sequential on the calling thread
-    /// for `workers <= 1`, partitioned across a work-stealing pool
-    /// otherwise. Identical results either way (see the module docs).
-    fn explore_dpor<C, NF, F>(&self, new_ctx: &NF, runner: &F) -> ExploreOutcome
-    where
-        C: ReplayCtx,
-        NF: Fn() -> C + Sync,
-        F: Fn(&mut C, &mut ScheduleDriver) + Sync,
-    {
-        self.explore_dpor_session(new_ctx, runner, None, None)
-    }
-
-    /// Source-set DPOR exploration with a remote dispatch hook: every
+    /// Exploration with a remote dispatch hook: every
     /// delegated (non-root) subtree task is first offered to
     /// `dispatcher`, and only runs in-process when the dispatcher
     /// declines — see [`TaskDispatcher`]. With a dispatcher that always
@@ -1869,9 +1621,6 @@ impl Explorer {
     /// is still bit-identical (the wire task shape round-trips the
     /// frozen spec, and counters/escapes merge the same way a local
     /// join does).
-    ///
-    /// Panics unless [`Explorer::mode`] is one of the DPOR modes — the
-    /// frame explorers have no subtree tasks to dispatch.
     pub fn explore_dispatched<C, NF, F>(
         &self,
         new_ctx: NF,
@@ -1883,17 +1632,6 @@ impl Explorer {
         NF: Fn() -> C + Sync,
         F: Fn(&mut C, &mut ScheduleDriver) + Sync,
     {
-        assert!(
-            matches!(
-                self.mode,
-                PruneMode::SourceDpor
-                    | PruneMode::ValueDpor
-                    | PruneMode::StaticDpor
-                    | PruneMode::OptimalDpor
-            ),
-            "explore_dispatched requires a DPOR mode (fail-closed: the frame \
-             explorers have no subtree tasks to dispatch)"
-        );
         self.explore_dpor_session(&new_ctx, &runner, None, Some(dispatcher))
     }
 
@@ -1915,54 +1653,14 @@ impl Explorer {
         NF: Fn() -> C + Sync,
         F: Fn(&mut C, &mut ScheduleDriver) + Sync,
     {
-        assert!(
-            matches!(
-                self.mode,
-                PruneMode::SourceDpor
-                    | PruneMode::ValueDpor
-                    | PruneMode::StaticDpor
-                    | PruneMode::OptimalDpor
-            ),
-            "explore_frozen_task requires a DPOR mode (fail-closed: the frame \
-             explorers have no subtree tasks to thaw)"
-        );
-        let statics = match self.mode {
-            PruneMode::StaticDpor => Some(self.statics.as_deref().expect(
-                "PruneMode::StaticDpor requires Explorer::statics \
-                 (a StaticConflicts certificate from sl-analyze)",
-            )),
-            PruneMode::OptimalDpor => self.statics.as_deref(),
-            _ => None,
-        };
-        let shared = DporShared {
-            new_ctx: &new_ctx,
-            runner: &runner,
-            max_runs: usize::MAX,
-            value_aware: matches!(
-                self.mode,
-                PruneMode::ValueDpor | PruneMode::StaticDpor | PruneMode::OptimalDpor
-            ),
-            optimal: self.mode == PruneMode::OptimalDpor,
-            statics,
-            hard_stem: self.stem.len(),
-            deques: vec![Mutex::new(VecDeque::new())],
-            queued: AtomicUsize::new(0),
-            replays: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            poison: Mutex::new(None),
-            poisoned: AtomicBool::new(false),
-            fault: None,
-            draining: AtomicBool::new(false),
-            poison_dir: std::env::var_os("SL_POISON_DIR").map(std::path::PathBuf::from),
-            dispatcher: None,
-        };
+        let shared = DporShared::new(self, &new_ctx, &runner, 1, usize::MAX);
         let spec = task.thaw();
         let mut ctx = (shared.new_ctx)();
         let out = run_task_guarded(&shared, 0, 0, &mut ctx, &spec, None);
         WireTaskResult::freeze(&out)
     }
 
-    /// Resumable exploration: source-set DPOR with periodic frontier
+    /// Resumable exploration: the DPOR engine with periodic frontier
     /// checkpoints, budget-drained degradation, and (optionally)
     /// deterministic fault injection — see the [`crate::checkpoint`]
     /// module docs for the format, the budget semantics, and the
@@ -1979,9 +1677,6 @@ impl Explorer {
     /// its resumption is bit-identical to an uninterrupted run at any
     /// worker count. A finished (non-drained) resumable run deletes its
     /// checkpoint.
-    ///
-    /// Panics unless [`Explorer::mode`] is one of the DPOR modes — the
-    /// frame explorers have no task frontier to checkpoint.
     pub fn explore_resumable<C, NF, F>(
         &self,
         new_ctx: NF,
@@ -1993,17 +1688,6 @@ impl Explorer {
         NF: Fn() -> C + Sync,
         F: Fn(&mut C, &mut ScheduleDriver) + Sync,
     {
-        assert!(
-            matches!(
-                self.mode,
-                PruneMode::SourceDpor
-                    | PruneMode::ValueDpor
-                    | PruneMode::StaticDpor
-                    | PruneMode::OptimalDpor
-            ),
-            "explore_resumable requires a DPOR mode (fail-closed: the frame \
-             explorers have no task frontier to checkpoint)"
-        );
         let workers = self.workers.max(1);
         let (restore, base) = if session.store.exists() {
             let expect = ResumeExpectation {
@@ -2049,41 +1733,20 @@ impl Explorer {
         F: Fn(&mut C, &mut ScheduleDriver) + Sync,
     {
         let workers = self.workers.max(1);
-        let statics = match self.mode {
-            PruneMode::StaticDpor => Some(self.statics.as_deref().expect(
-                "PruneMode::StaticDpor requires Explorer::statics \
-                 (a StaticConflicts certificate from sl-analyze)",
-            )),
-            // Optional for optimal DPOR: consulted when installed.
-            PruneMode::OptimalDpor => self.statics.as_deref(),
-            _ => None,
-        };
         let base = session.as_ref().map(|s| s.base).unwrap_or_default();
         let base_schedules = (base.runs + base.cut_runs) as usize;
-        let fault = session.as_ref().and_then(|s| s.fault);
         let shared = DporShared {
-            new_ctx,
-            runner,
+            fault: session.as_ref().and_then(|s| s.fault),
+            dispatcher,
             // Already-banked schedules count against the run budget, so
             // an interrupted + resumed run caps at the same total.
-            max_runs: self.max_runs.saturating_sub(base_schedules),
-            value_aware: matches!(
-                self.mode,
-                PruneMode::ValueDpor | PruneMode::StaticDpor | PruneMode::OptimalDpor
-            ),
-            optimal: self.mode == PruneMode::OptimalDpor,
-            statics,
-            hard_stem: self.stem.len(),
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            queued: AtomicUsize::new(0),
-            replays: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            poison: Mutex::new(None),
-            poisoned: AtomicBool::new(false),
-            fault,
-            draining: AtomicBool::new(false),
-            poison_dir: std::env::var_os("SL_POISON_DIR").map(std::path::PathBuf::from),
-            dispatcher,
+            ..DporShared::new(
+                self,
+                new_ctx,
+                runner,
+                workers,
+                self.max_runs.saturating_sub(base_schedules),
+            )
         };
         // Checkpoint IO runs on a dedicated writer thread: filesystem
         // commit latency (temp write + rename, ~1ms on a journaling
@@ -2716,7 +2379,8 @@ where
             drain_delegated(shared, me, help_depth, ctx, &mut spine, floor, &mut out);
             return out;
         }
-        let mut driver = ScheduleDriver::dpor(prefix, sleep_at_record, spine.len());
+        let mut driver =
+            ScheduleDriver::dpor(prefix, sleep_at_record, spine.len(), shared.all_dependent);
         (shared.runner)(ctx, &mut driver);
         if driver.cut {
             out.cut_runs += 1;
@@ -2724,13 +2388,16 @@ where
             out.runs += 1;
         }
         out.pruned += driver.pruned;
-        let DriverMode::Dpor { observed, exec, .. } = driver.mode else {
-            unreachable!("DPOR explorer uses DPOR drivers");
-        };
+        let ScheduleDriver {
+            observed,
+            exec,
+            chosen,
+            ..
+        } = driver;
         // Extend the spine with this run's recorded decisions
         // (observed[0] is the decision at the current spine tip).
         for obs in observed {
-            let chosen = driver.chosen[spine.len()];
+            let chosen = chosen[spine.len()];
             let access = obs
                 .pending
                 .get(
@@ -2782,6 +2449,7 @@ where
             first_new,
             floor,
             shared.hard_stem,
+            shared.all_dependent,
             shared.value_aware,
             shared.optimal,
             shared.statics,
@@ -2816,7 +2484,7 @@ where
                     let q = seq[0].0;
                     if spine[d].done & (1 << q) != 0
                         || spine[d].sleep_now & (1 << q) != 0
-                        || !seq_wakes_all(&spine[d], spine[d].sleep_now, &seq)
+                        || !seq_wakes_all(&spine[d], spine[d].sleep_now, &seq, shared.all_dependent)
                     {
                         continue;
                     }
@@ -2843,6 +2511,7 @@ where
                                     node,
                                     node.sleep_now,
                                     &[(q, node.pending_of(q))],
+                                    shared.all_dependent,
                                 ))
                     })
                     .map(|q| (q, vec![(q, node.pending_of(q))]));
@@ -2853,7 +2522,13 @@ where
                     let access = node.pending_of(q);
                     (
                         access,
-                        filter_independent(node.sleep_now, access, &node.runnable, &node.pending),
+                        filter_independent(
+                            node.sleep_now,
+                            access,
+                            &node.runnable,
+                            &node.pending,
+                            shared.all_dependent,
+                        ),
                     )
                 };
                 publish_extras(shared, me, &mut spine, d, q, &clocks);
@@ -2917,8 +2592,13 @@ fn publish_extras<NF, F>(
         }
         let e = seq[0].0;
         let access_e = spine[d].pending_of(e);
-        let sleep_e =
-            filter_independent(*sleep_acc, access_e, &spine[d].runnable, &spine[d].pending);
+        let sleep_e = filter_independent(
+            *sleep_acc,
+            access_e,
+            &spine[d].runnable,
+            &spine[d].pending,
+            shared.all_dependent,
+        );
         let mut prefix: Vec<usize> = spine[..d].iter().map(|n| n.chosen).collect();
         prefix.extend(seq.iter().map(|&(p, _)| p));
         let mut accesses: Vec<StepMeta> = spine[..d].iter().map(|n| n.meta).collect();
@@ -2954,7 +2634,7 @@ fn publish_extras<NF, F>(
             let e = seq[0].0;
             if done_acc & (1 << e) != 0
                 || sleep_acc & (1 << e) != 0
-                || !seq_wakes_all(&spine[d], sleep_acc, &seq)
+                || !seq_wakes_all(&spine[d], sleep_acc, &seq, shared.all_dependent)
             {
                 // Covered — dropped exactly as the sequential selection
                 // would drop it (the accumulators mirror the sleep set
@@ -3088,8 +2768,8 @@ fn apply_escape(node: &mut SpineNode, esc: Escape) {
 /// Detects races in the executed word `spine` and extends the
 /// backtrack (source) sets of the racing decision points.
 ///
-/// Happens-before is computed with vector clocks over the dependence
-/// relation `!PendingAccess::independent` (program order + conflicting
+/// Happens-before is computed with vector clocks over the mode's
+/// dependence relation `!step_independent` (program order + conflicting
 /// accesses). A pair `(j, k)` races when the steps are dependent, by
 /// different processes, and `j` does not happen-before `k` through any
 /// intermediate step — i.e. the two could have been adjacent. For each
@@ -3102,10 +2782,11 @@ fn apply_escape(node: &mut SpineNode, esc: Escape) {
 /// `escapes` in detection order, except below `hard_stem` (the
 /// user-supplied stem, which is never backtracked into at all).
 ///
-/// `value_aware` and `statics` select the independence relation for
-/// both the vector clocks and the race test (they must agree):
-/// syntactic ([`PendingAccess::independent`]), value-aware, or
-/// value-aware plus the static placement relaxation
+/// `all_dependent`, `value_aware`, `optimal` and `statics` select the
+/// independence relation for both the vector clocks and the race test
+/// (they must agree): all-dependent, syntactic
+/// ([`PendingAccess::independent`]), value-aware, or value-aware plus
+/// the observer rule and the static placement relaxation
 /// ([`step_independent`]).
 ///
 /// When `statics` is present, every dependent concurrent data/data
@@ -3120,6 +2801,7 @@ fn add_race_reversals(
     first_new: usize,
     apply_floor: usize,
     hard_stem: usize,
+    all_dependent: bool,
     value_aware: bool,
     optimal: bool,
     statics: Option<&StaticConflicts>,
@@ -3174,7 +2856,7 @@ fn add_race_reversals(
         let mut races: Vec<usize> = Vec::new();
         for j in (0..k).rev() {
             let (q, b) = (spine[j].chosen, spine[j].meta);
-            if step_independent(&a, &b, value_aware, optimal, statics) {
+            if step_independent(&a, &b, all_dependent, value_aware, optimal, statics) {
                 continue;
             }
             if !clock_leq(&clocks[j], &base) {
@@ -3304,26 +2986,23 @@ fn validate_race(st: &StaticConflicts, a: &StepMeta, b: &StepMeta) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Scripted, SimWorld};
+    use crate::SimWorld;
     use sl_mem::{Mem, Register};
 
     /// Two processes, one register write each: the schedule space has
     /// exactly 2 decision points with 2, then 1 choices ⇒ 2 schedules.
-    fn run_two_writers(script: &[usize]) -> RunOutcome {
+    fn run_two_writers(driver: &mut ScheduleDriver) -> RunOutcome {
         let world = SimWorld::new(2);
-        let mem = world.mem();
-        let reg = mem.alloc("X", 0u64);
-        let r0 = reg.clone();
-        let r1 = reg;
-        let mut sched = Scripted::new(script.to_vec());
-        world.run(
-            vec![
-                Box::new(move |_| r0.write(1)),
-                Box::new(move |_| r1.write(2)),
-            ],
-            &mut sched,
-            100,
-        )
+        let programs = two_writer_programs(&world);
+        world.run(programs, driver, 100)
+    }
+
+    fn unpruned(max_runs: usize) -> Explorer {
+        Explorer {
+            mode: PruneMode::Unpruned,
+            max_runs,
+            ..Explorer::default()
+        }
     }
 
     #[test]
@@ -3359,43 +3038,107 @@ mod tests {
 
     #[test]
     fn explores_all_interleavings_of_two_single_step_programs() {
-        let mut finals = Vec::new();
-        let outcome = explore(run_two_writers, 100, |_script, run| {
+        let finals = Mutex::new(Vec::new());
+        let outcome = unpruned(100).explore(|d| {
+            let run = run_two_writers(d);
             let last = run.steps().last().unwrap().value().render();
-            finals.push(last);
+            finals.lock().unwrap().push(last);
+            run
         });
         assert!(outcome.exhausted);
         assert_eq!(outcome.runs, 2);
+        let mut finals = finals.into_inner().unwrap();
         finals.sort();
         assert_eq!(finals, vec!["1".to_string(), "2".to_string()]);
     }
 
     #[test]
     fn respects_run_budget() {
-        let outcome = explore(run_two_writers, 1, |_, _| {});
+        let outcome = unpruned(1).explore(run_two_writers);
         assert_eq!(outcome.runs, 1);
         assert!(!outcome.exhausted);
     }
 
-    /// Three single-step processes ⇒ 3! = 6 schedules.
+    /// Three single-step processes ⇒ 3! = 6 schedules, none pruned.
     #[test]
     fn counts_schedules_of_three_writers() {
-        let run = |script: &[usize]| {
-            let world = SimWorld::new(3);
-            let mem = world.mem();
-            let reg = mem.alloc("X", 0u64);
-            let handles: Vec<_> = (0..3).map(|_| reg.clone()).collect();
-            let mut sched = Scripted::new(script.to_vec());
-            let programs: Vec<crate::Program> = handles
-                .into_iter()
-                .enumerate()
-                .map(|(i, r)| Box::new(move |_| r.write(i as u64)) as crate::Program)
-                .collect();
-            world.run(programs, &mut sched, 100)
-        };
-        let outcome = explore(run, 1000, |_, _| {});
+        let outcome = unpruned(1000).explore(writers_runner(3, false));
         assert!(outcome.exhausted);
         assert_eq!(outcome.runs, 6);
+        assert_eq!(outcome.pruned, 0);
+    }
+
+    /// The same count through the default run budget: `Unpruned` on
+    /// three conflicting writers still yields the 3! = 6 schedules the
+    /// original stateless enumerator produced, none pruned.
+    #[test]
+    fn driver_explorer_matches_legacy_count_without_pruning() {
+        let explorer = Explorer {
+            mode: PruneMode::Unpruned,
+            ..Explorer::default()
+        };
+        let outcome = explorer.explore(writers_runner(3, false));
+        assert!(outcome.exhausted);
+        assert_eq!(outcome.runs, 6);
+        assert_eq!(outcome.pruned, 0);
+    }
+
+    /// An oracle for `Unpruned` that shares no branching logic with any
+    /// explorer: `k` straight-line processes writing distinct values to
+    /// one register, process `i` taking `n_i` steps, have exactly the
+    /// multinomial (Σnᵢ)!/Πnᵢ! interleavings. Each process's step count
+    /// is read off one run's script (straight-line programs take the
+    /// same number of decisions in every schedule).
+    #[test]
+    fn unpruned_explores_the_multinomial_count_of_interleavings() {
+        use std::collections::BTreeSet;
+        fn factorial(n: usize) -> usize {
+            (1..=n).product()
+        }
+        for writes in [vec![2usize, 3], vec![1, 2, 2]] {
+            let runner = move |driver: &mut ScheduleDriver| {
+                let world = SimWorld::new(writes.len());
+                let reg = world.mem().alloc("X", 0u64);
+                let programs: Vec<crate::Program> = writes
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &n)| {
+                        let r = reg.clone();
+                        Box::new(move |_| {
+                            for j in 0..n {
+                                r.write((10 * i + j) as u64 + 1);
+                            }
+                        }) as crate::Program
+                    })
+                    .collect();
+                world.run(programs, driver, 100)
+            };
+            for workers in [1, 2, 4] {
+                let scripts = Mutex::new(Vec::new());
+                let explorer = Explorer {
+                    workers,
+                    ..unpruned(1_000)
+                };
+                let out = explorer.explore(|d| {
+                    let o = runner(d);
+                    scripts.lock().unwrap().push(o.script());
+                    o
+                });
+                let scripts = scripts.into_inner().unwrap();
+                let k = scripts[0].iter().max().unwrap() + 1;
+                let steps: Vec<usize> = (0..k)
+                    .map(|p| scripts[0].iter().filter(|&&q| q == p).count())
+                    .collect();
+                let expected = factorial(steps.iter().sum())
+                    / steps.iter().map(|&n| factorial(n)).product::<usize>();
+                let tag = format!("steps {steps:?} at {workers} workers");
+                assert!(out.exhausted, "{tag}");
+                assert_eq!(out.runs, expected, "{tag}");
+                assert_eq!((out.cut_runs, out.pruned), (0, 0), "{tag}");
+                let distinct: BTreeSet<_> = scripts.iter().collect();
+                assert_eq!(distinct.len(), scripts.len(), "{tag}: a schedule repeated");
+            }
+        }
     }
 
     /// Driver-based runner over `n` writers to one shared or `n`
@@ -3446,47 +3189,32 @@ mod tests {
     }
 
     #[test]
-    fn driver_explorer_matches_legacy_count_without_pruning() {
-        let explorer = Explorer {
-            mode: PruneMode::Unpruned,
-            ..Explorer::default()
-        };
-        let outcome = explorer.explore(writers_runner(3, false));
-        assert!(outcome.exhausted);
-        assert_eq!(outcome.runs, 6);
-        assert_eq!(outcome.pruned, 0);
-    }
-
-    #[test]
-    fn sleep_sets_collapse_commuting_writers_to_one_schedule() {
-        // Three writers to three *distinct* registers: all 6
-        // interleavings are equivalent, so sleep sets leave one.
-        let explorer = Explorer {
-            mode: PruneMode::SleepSet,
-            ..Explorer::default()
-        };
-        let outcome = explorer.explore(writers_runner(3, true));
-        assert!(outcome.exhausted);
-        assert_eq!(outcome.runs, 1, "all interleavings commute");
-        assert!(outcome.pruned > 0);
-    }
-
-    #[test]
     fn dispatched_exploration_matches_local_counters_and_degrades_on_decline() {
-        let base = Explorer::default().explore(mixed_runner(3));
-        assert!(base.exhausted);
-
+        // The unpruned tree of `mixed_runner(3)` has 34,650 schedules;
+        // four single-step writers (24) still delegate subtrees.
+        type Runner = Box<dyn Fn(&mut ScheduleDriver) -> RunOutcome + Sync>;
+        fn runner_for(mode: PruneMode) -> Runner {
+            match mode {
+                PruneMode::Unpruned => Box::new(writers_runner(4, false)),
+                _ => Box::new(mixed_runner(3)),
+            }
+        }
         // Round-trips every delegated task through the portable wire
         // form and explores it with `explore_frozen_task`, exactly as a
         // worker process behind `sl-dist` would.
         struct Loopback {
+            mode: PruneMode,
             hits: AtomicUsize,
         }
         impl TaskDispatcher for Loopback {
             fn dispatch(&self, task: &WireTask) -> Option<WireTaskResult> {
                 self.hits.fetch_add(1, Ordering::SeqCst);
-                let run = mixed_runner(3);
-                Some(Explorer::default().explore_frozen_task(
+                let run = runner_for(self.mode);
+                let explorer = Explorer {
+                    mode: self.mode,
+                    ..Explorer::default()
+                };
+                Some(explorer.explore_frozen_task(
                     || (),
                     move |_: &mut (), d: &mut ScheduleDriver| {
                         let _ = run(d);
@@ -3495,32 +3223,6 @@ mod tests {
                 ))
             }
         }
-        let loopback = Loopback {
-            hits: AtomicUsize::new(0),
-        };
-        let explorer = Explorer {
-            workers: 4,
-            ..Explorer::default()
-        };
-        let run = mixed_runner(3);
-        let out = explorer.explore_dispatched(
-            || (),
-            |_: &mut (), d: &mut ScheduleDriver| {
-                let _ = run(d);
-            },
-            &loopback,
-        );
-        assert!(out.exhausted);
-        assert_eq!(
-            (out.runs, out.cut_runs, out.pruned),
-            (base.runs, base.cut_runs, base.pruned),
-            "dispatched exploration must be bit-identical to sequential"
-        );
-        assert!(
-            loopback.hits.load(Ordering::SeqCst) > 0,
-            "the dispatcher saw delegated work"
-        );
-
         // A dispatcher that always declines: pure in-process
         // degradation, still bit-identical.
         struct Decline;
@@ -3529,20 +3231,53 @@ mod tests {
                 None
             }
         }
-        let run = mixed_runner(3);
-        let out = explorer.explore_dispatched(
-            || (),
-            |_: &mut (), d: &mut ScheduleDriver| {
-                let _ = run(d);
-            },
-            &Decline,
-        );
-        assert!(out.exhausted);
-        assert_eq!(
-            (out.runs, out.cut_runs, out.pruned),
-            (base.runs, base.cut_runs, base.pruned),
-            "a declining dispatcher degrades to plain in-process exploration"
-        );
+        for mode in [PruneMode::ValueDpor, PruneMode::Unpruned] {
+            let sequential = Explorer {
+                mode,
+                ..Explorer::default()
+            };
+            let base = sequential.explore(runner_for(mode));
+            assert!(base.exhausted, "{mode:?}");
+            let loopback = Loopback {
+                mode,
+                hits: AtomicUsize::new(0),
+            };
+            let explorer = Explorer {
+                workers: 4,
+                ..sequential
+            };
+            let run = runner_for(mode);
+            let out = explorer.explore_dispatched(
+                || (),
+                |_: &mut (), d: &mut ScheduleDriver| {
+                    let _ = run(d);
+                },
+                &loopback,
+            );
+            assert!(out.exhausted, "{mode:?}");
+            assert_eq!(
+                (out.runs, out.cut_runs, out.pruned),
+                (base.runs, base.cut_runs, base.pruned),
+                "{mode:?}: dispatched exploration must be bit-identical to sequential"
+            );
+            assert!(
+                loopback.hits.load(Ordering::SeqCst) > 0,
+                "{mode:?}: the dispatcher saw delegated work"
+            );
+            let out = explorer.explore_dispatched(
+                || (),
+                |_: &mut (), d: &mut ScheduleDriver| {
+                    let _ = run(d);
+                },
+                &Decline,
+            );
+            assert!(out.exhausted, "{mode:?}");
+            assert_eq!(
+                (out.runs, out.cut_runs, out.pruned),
+                (base.runs, base.cut_runs, base.pruned),
+                "{mode:?}: a declining dispatcher degrades to plain in-process exploration"
+            );
+        }
     }
 
     #[test]
@@ -3572,7 +3307,6 @@ mod tests {
         // (value-aware or not), all 6 traces remain, in every mode.
         for mode in [
             PruneMode::Unpruned,
-            PruneMode::SleepSet,
             PruneMode::SourceDpor,
             PruneMode::ValueDpor,
         ] {
@@ -3744,7 +3478,6 @@ mod tests {
         };
         let unpruned = finals_for(PruneMode::Unpruned);
         assert_eq!(unpruned.len(), 3, "last write can be any of the three");
-        assert_eq!(finals_for(PruneMode::SleepSet), unpruned);
         assert_eq!(finals_for(PruneMode::SourceDpor), unpruned);
         assert_eq!(finals_for(PruneMode::ValueDpor), unpruned);
         // The observer rule only ever commutes a write that is later
@@ -4461,13 +4194,17 @@ mod tests {
     #[test]
     fn drained_exploration_resumes_to_the_uninterrupted_outcome() {
         use std::collections::BTreeSet;
-        for (mode, workers) in [
-            (PruneMode::ValueDpor, 1),
-            (PruneMode::ValueDpor, 2),
-            (PruneMode::OptimalDpor, 1),
-            (PruneMode::OptimalDpor, 4),
+        // The unpruned tree of three mixed processes (34,650 schedules)
+        // would need hundreds of budget rounds; two processes have 70.
+        for (mode, workers, procs) in [
+            (PruneMode::ValueDpor, 1, 3),
+            (PruneMode::ValueDpor, 2, 3),
+            (PruneMode::OptimalDpor, 1, 3),
+            (PruneMode::OptimalDpor, 4, 3),
+            (PruneMode::Unpruned, 1, 2),
+            (PruneMode::Unpruned, 4, 2),
         ] {
-            let runner = mixed_runner(3);
+            let runner = mixed_runner(procs);
             let explorer = Explorer {
                 mode,
                 workers,
@@ -4484,7 +4221,7 @@ mod tests {
             assert!(reference.exhausted);
 
             let dir = resume_dir(&format!("drain-{}-{workers}", mode.name()));
-            let store = CheckpointStore::new(&dir, "mixed3");
+            let store = CheckpointStore::new(&dir, &format!("mixed{procs}"));
             let res_scripts = Mutex::new(BTreeSet::new());
             let mut rounds = 0u64;
             let final_out = loop {

@@ -32,15 +32,15 @@
 //! * [`Explorer`] enumerates adversary schedules depth-first and
 //!   stateless (a decision prefix is replayed to reconstruct any node —
 //!   cheap, because replays run on the VM), streaming each transcript
-//!   into `sl_check`'s builders as it is produced. Pruning is selected
-//!   by [`PruneMode`]: **sleep sets** over declared pending accesses
-//!   (schedules that differ only in the order of commuting register
-//!   accesses are explored once; work-stealing worker pool), or
-//!   **source-set DPOR** (wakeup-free
-//!   Abdulla–Aronis–Jonsson–Sagonas), which detects races in each
-//!   executed schedule with vector clocks and backtracks only where a
-//!   reversal is demanded, typically replaying several times fewer
-//!   schedules than sleep sets alone — by default with the
+//!   into `sl_check`'s builders as it is produced. One engine serves
+//!   every [`PruneMode`]: **source-set DPOR** (wakeup-free
+//!   Abdulla–Aronis–Jonsson–Sagonas) with sleep sets over declared
+//!   pending accesses, which detects races in each executed schedule
+//!   with vector clocks and backtracks only where a reversal is
+//!   demanded. [`PruneMode::Unpruned`] runs it under the all-dependent
+//!   relation — the full interleaving tree, kept as the reference
+//!   oracle; the other modes refine the independence relation, by
+//!   default with the
 //!   **value-aware** refinement ([`PruneMode::ValueDpor`]): observed
 //!   same-register read/read pairs and same-value write/write pairs
 //!   also commute when no event marker rode on either step. On top of
@@ -49,9 +49,8 @@
 //!   initiated only when they conflict with every sleeping process,
 //!   so no sleep-set-blocked replay is ever started) and adds the
 //!   **observer rule** (same-register writes commute when neither
-//!   value is read before being overwritten). Source
-//!   DPOR **parallelises by
-//!   per-subtree ownership** (`Explorer::workers`, or
+//!   value is read before being overwritten). The engine
+//!   **parallelises by per-subtree ownership** (`Explorer::workers`, or
 //!   [`env_workers`]): sibling backtrack candidates are delegated as
 //!   frozen subtree tasks onto a work-stealing deque, escaping race
 //!   demands merge at the joins, and the result — schedule set,
@@ -59,8 +58,7 @@
 //!   exploration at any worker count. Replays run on warm worlds:
 //!   [`SimWorld::reset`] restores registers to their `alloc`-time
 //!   values (keeping names, ids, and allocation sites), and trace
-//!   buffers, VM cores, and fiber stacks are recycled. The
-//!   script-replay [`explore`] function remains for compatibility.
+//!   buffers, VM cores, and fiber stacks are recycled.
 //!
 //! The original thread-per-process engine has been retired; the
 //! portable-fibers parity run (`--features portable-fibers`) is the
@@ -143,8 +141,8 @@ pub use checkpoint::{
     ResumeExpectation, ResumeSession,
 };
 pub use explore::{
-    env_workers, explore, ExploreOutcome, Explorer, PruneMode, ReplayCtx, ScheduleDriver,
-    TaskDispatcher, WireEscape, WireTask, WireTaskResult,
+    env_workers, ExploreOutcome, Explorer, PruneMode, ReplayCtx, ScheduleDriver, TaskDispatcher,
+    WireEscape, WireTask, WireTaskResult,
 };
 pub use log::EventLog;
 pub use mem::{SimMem, SimRegister};

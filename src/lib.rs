@@ -84,7 +84,8 @@
 //! **value-aware source-set DPOR** (race-directed partial-order
 //! reduction over the declared pending accesses, refined by observed
 //! values — see *Trace encoding & value-aware commutation* below;
-//! syntactic-DPOR, sleep-set, and unpruned modes remain available via
+//! the syntactic-DPOR mode and the unpruned reference oracle — the
+//! same engine under the all-dependent relation — remain available via
 //! `sim::PruneMode`), and streams every transcript into the prefix
 //! tree that strong linearizability quantifies over:
 //!

@@ -50,6 +50,10 @@
 //!   stopped pruning,
 //! * any dynamic race on a mixed-role workload escapes op-pair
 //!   attribution (`static_unattributed` must be 0),
+//! * static DPOR on a mixed-role workload validates a different number
+//!   of dynamic races than recorded (`static_validated` is exact: the
+//!   run is single-worker, and a race scan that skipped a concurrent
+//!   step would validate fewer),
 //! * the certificate catalog checked in next to the baseline is stale
 //!   (regenerating it from the current probe produces different bytes)
 //!   or fails the fail-closed parser,
@@ -261,8 +265,9 @@ fn run_mixed_workload(
     let t = statics.telemetry();
     println!(
         "(value-aware commutation removes {:.0}% of the mixed-role schedules; the placement \
-         certificate a further {:.0}% — {} relaxations, {} validated races, {} unattributed, \
-         0 unpredicted; wakeup sequences keep the optimal exploration cut-free at {} replays)",
+         certificate a further {:.0}% — {} relaxations between concurrent steps, {} validated \
+         races, {} unattributed, 0 unpredicted; wakeup sequences keep the optimal exploration \
+         cut-free at {} replays)",
         (1.0 - counts[1].schedules_replayed() as f64 / counts[0].schedules_replayed() as f64)
             * 100.0,
         (1.0 - counts[2].schedules_replayed() as f64 / counts[1].schedules_replayed() as f64)
@@ -1022,8 +1027,8 @@ fn summary_markdown(
         }
         let _ = writeln!(
             md,
-            "| {} placement relaxations / validated races | — | {} / {} | fail-closed: 0 \
-             unpredicted |",
+            "| {} relaxations between concurrent steps / validated races | — | {} / {} | \
+             fail-closed: 0 unpredicted; validated == recorded |",
             m.name, m.static_relaxed, m.static_validated
         );
         let _ = writeln!(
@@ -1313,6 +1318,14 @@ fn main() {
                     m.static_unattributed, m.name
                 ));
             }
+            // The static-DPOR run is single-worker, so its validated
+            // race count is deterministic: a race scan that skipped a
+            // concurrent step would validate fewer races.
+            gate.count_equals(
+                &format!("{} validated races", m.name),
+                m.static_validated as usize,
+                b.workload_count(m.name, "static_validated"),
+            );
             // The op-pair relaxations must strictly beat the optimal-DPOR
             // counts recorded before the pair matrix existed (the
             // per-register-certificate era); these floors are frozen, not
@@ -1700,7 +1713,9 @@ mixed-role workloads (the sl-analyze placement certificate must keep pruning), o
 strictly there with zero cut replays (wakeup sequences must keep eliminating sleep-set-blocked \
 runs), optimal strictly below the frozen per-register-era floors (660 / 26638) with zero \
 unattributed races on the mixed-role workloads (the op-pair commutation matrix must keep \
-pruning and attributing), certificates.json next to this file byte-identical to a fresh \
+pruning and attributing), static_validated exactly on the mixed-role workloads (single-worker \
+static DPOR validates a deterministic number of races; fewer means the race scan skipped a \
+concurrent step), certificates.json next to this file byte-identical to a fresh \
 regeneration (probe/format drift must go through --refresh-baseline), min_reuse_speedup (single-worker pooled-vs-fresh wall clock on aba_2w2r, best-of-3, \
 identical ingestion pipelines both sides; a 1.0 floor so the gate only catches pooling becoming \
 an outright pessimization), min_format_speedup (single-worker traced replay with binary StepCode \

@@ -344,6 +344,56 @@
 //! All of this is **conservative**, and the pruned-vs-unpruned (and
 //! parallel-vs-sequential) verdict-equivalence tests in the model-check
 //! and fuzz suites cross-check it on small configurations.
+//!
+//! # Why the cursor scan finds every race
+//!
+//! Race detection ([`add_race_reversals`]) keeps one vector clock per
+//! executed step: component `r` of step `i`'s clock counts the steps of
+//! process `r` that happen-before `i`, `i` itself included. For a new
+//! step `k` of process `p`, `base` starts as the clock of `p`'s previous
+//! step; walking back over the earlier steps, every dependent step that
+//! `base` does not yet cover is joined into it, and when it belongs to
+//! another process it is an immediate race with `k`.
+//!
+//! *Own-component lemma.* Let `j` be the `n`-th step of process `q`, so
+//! its clock has `n` in component `q`. Then `clock(j) ≤ base` exactly
+//! when `n ≤ base[q]`. A step's clock is its process's previous clock
+//! joined with clocks of earlier steps, plus one in its own component.
+//! By induction, every step clock `c` lies above the clock of the
+//! `c[r]`-th step of each process `r`, and by program order above the
+//! clocks of `r`'s earlier steps too: for its own process that step is
+//! the step itself, for any other `c[r]` is a component of a clock it
+//! joined. `base` is a join of step clocks, so if `base[q] ≥ n` the
+//! joined clock holding `base[q]` lies above `clock(j)`, and so does
+//! `base`; the converse is the `q` component of `clock(j) ≤ base`.
+//! The argument uses only the shape of the recurrence, so it holds
+//! whatever relation the cached clocks were built under. One comparison
+//! replaces a full-width one — in the scan, in the reversing
+//! continuation (`m` is not happens-after `j`) and in its weak
+//! initials.
+//!
+//! *Cursors.* By the lemma, the steps of `q` that `base` covers are
+//! exactly its first `base[q]` steps. The scan keeps the spine indices
+//! of each process's steps and one cursor per process; it visits the
+//! largest index among the cursors still above their process's `base`
+//! component, moves that cursor down, and stops when no cursor is
+//! above. A step it skips is covered when a scan over every earlier
+//! index would reach it (`base` only grows), and that scan does nothing
+//! with a covered step. The visited steps come in the same descending
+//! order, so the races, the [`validate_race`] calls, the joins and the
+//! order of the demands and escapes are the same as that scan's, and
+//! the results stay bit-identical; the work per step grows with the
+//! number of concurrent steps, not with the length of the word. The one
+//! visible difference is that the relation is consulted only for
+//! concurrent pairs, so [`crate::StaticTelemetry::relaxed`] counts
+//! relaxations between concurrent steps only.
+//!
+//! *Flat layout.* The clocks of a word live in one `Vec<u32>`
+//! ([`Clocks`]) of rows `width` = process count wide; the clock a step
+//! starts from is read off the row of its process's previous step. A
+//! [`SubtreeTask`] carries the first rows of its prefix the same way.
+//! Rows are cached across replays from the first changed step, and
+//! recomputed from row 0 when the process count changes.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
@@ -1178,10 +1228,61 @@ fn refresh_observer_flags(spine: &mut [SpineNode]) -> usize {
     changed
 }
 
-/// `a ≤ b` pointwise: the step with clock `a` happens-before the step
-/// with clock `b`.
-fn clock_leq(a: &[u32], b: &[u32]) -> bool {
-    a.iter().zip(b).all(|(x, y)| x <= y)
+/// Vector clocks of an executed word in one flat buffer: row `i`, the
+/// clock of spine step `i`, is `rows[i * width..(i + 1) * width]`, one
+/// component per process. Component `r` of a row counts the steps of
+/// process `r` that happen-before the step (the step itself included).
+/// A pure cache over the spine: [`add_race_reversals`] recomputes it
+/// from the first changed step, and from row 0 when the process count
+/// (`width`) changes.
+#[derive(Clone, Default)]
+struct Clocks {
+    width: usize,
+    rows: Vec<u32>,
+}
+
+impl Clocks {
+    /// Number of cached rows.
+    fn len(&self) -> usize {
+        self.rows.len().checked_div(self.width).unwrap_or(0)
+    }
+
+    fn row(&self, i: usize) -> &[u32] {
+        &self.rows[i * self.width..(i + 1) * self.width]
+    }
+
+    /// Whether step `x`, of process `qx`, happens-before step `y` (or
+    /// is `y`): by the own-component lemma (module docs, *Why the
+    /// cursor scan finds every race*) one comparison decides
+    /// `row(x) ≤ row(y)`.
+    fn happens_before(&self, x: usize, qx: usize, y: usize) -> bool {
+        self.rows[x * self.width + qx] <= self.rows[y * self.width + qx]
+    }
+
+    /// The first `n` rows, for a frozen subtree task.
+    fn prefix(&self, n: usize) -> Clocks {
+        Clocks {
+            width: self.width,
+            rows: self.rows[..n * self.width].to_vec(),
+        }
+    }
+}
+
+/// Reusable buffers of [`add_race_reversals`], kept across the replays
+/// of one task.
+#[derive(Default)]
+struct RaceScan {
+    /// Spine indices of each process's steps, ascending, for exactly
+    /// the steps `0..indexed`.
+    by_proc: Vec<Vec<usize>>,
+    indexed: usize,
+    /// The join of the clocks seen so far by the current step's scan.
+    base: Vec<u32>,
+    /// Per process, how many of its steps in `by_proc` the current
+    /// step's scan has not visited yet.
+    cursor: Vec<usize>,
+    /// Races of the current step, in visit (descending) order.
+    races: Vec<usize>,
 }
 
 /// A frozen unexplored subtree of the source-DPOR schedule tree,
@@ -1199,10 +1300,10 @@ struct SubtreeTask {
     /// race detection). Empty for the root task, whose stem accesses
     /// are observed on the first replay instead.
     accesses: Vec<StepMeta>,
-    /// Vector clocks of prefix steps `0..prefix.len()-1`, cloned from
-    /// the owner's cache (the last prefix step's clock is computed by
-    /// the task's own first race-detection pass).
-    clocks: Vec<Vec<u32>>,
+    /// Vector clocks of prefix steps `0..prefix.len()-1`, copied from
+    /// the owner's flat cache (the last prefix step's clock is computed
+    /// by the task's own first race-detection pass).
+    clocks: Clocks,
     /// Sleep set at the subtree root.
     sleep: u64,
     /// Backtrack floor: decision indices below this belong to the
@@ -1290,7 +1391,7 @@ impl WireTask {
                 .iter()
                 .map(|a| StepMeta::unknown(live_access_of(a)))
                 .collect(),
-            clocks: Vec::new(),
+            clocks: Clocks::default(),
             sleep: self.sleep,
             floor: self.floor,
         }
@@ -1774,7 +1875,7 @@ impl Explorer {
         let root = SubtreeTask {
             prefix: self.stem.clone(),
             accesses: Vec::new(),
-            clocks: Vec::new(),
+            clocks: Clocks::default(),
             sleep: 0,
             floor: self.stem.len(),
         };
@@ -2016,7 +2117,7 @@ fn restore_spine<NF, F>(
                             .iter()
                             .map(|a| StepMeta::unknown(live_access(a)))
                             .collect(),
-                        clocks: Vec::new(),
+                        clocks: Clocks::default(),
                         sleep: t.sleep,
                         floor: t.floor,
                     };
@@ -2295,6 +2396,7 @@ where
         .map(|(&chosen, &meta)| SpineNode::ghost(chosen, meta))
         .collect();
     let mut clocks = task.clocks;
+    let mut scan = RaceScan::default();
     // Each queued replay carries the decision index from which this
     // run's steps are *new* (its race-detection window): for a
     // delegated subtree the last ghost — the reversal itself — is new
@@ -2311,7 +2413,7 @@ where
     if let Some(rc) = root.as_deref_mut() {
         if let Some(ckpt) = rc.restore.take() {
             spine = restore_spine(shared, me, &ckpt);
-            clocks = Vec::new();
+            clocks = Clocks::default();
             next = Some((ckpt.next.prefix, ckpt.next.sleep, ckpt.next.new_from));
         }
     }
@@ -2446,6 +2548,7 @@ where
         add_race_reversals(
             &mut spine,
             &mut clocks,
+            &mut scan,
             first_new,
             floor,
             shared.hard_stem,
@@ -2568,7 +2671,7 @@ fn publish_extras<NF, F>(
     spine: &mut [SpineNode],
     d: usize,
     q: usize,
-    clocks: &[Vec<u32>],
+    clocks: &Clocks,
 ) {
     if shared.deques.len() <= 1 {
         return; // sequential exploration: candidates stay on the spine
@@ -2612,7 +2715,7 @@ fn publish_extras<NF, F>(
             floor: accesses.len(),
             prefix,
             accesses,
-            clocks: clocks[..d].to_vec(),
+            clocks: clocks.prefix(d),
             sleep: sleep_e,
         };
         let slot = Arc::new(TaskSlot::new(task));
@@ -2768,26 +2871,42 @@ fn apply_escape(node: &mut SpineNode, esc: Escape) {
 /// Detects races in the executed word `spine` and extends the
 /// backtrack (source) sets of the racing decision points.
 ///
-/// Happens-before is computed with vector clocks over the mode's
-/// dependence relation `!step_independent` (program order + conflicting
-/// accesses). A pair `(j, k)` races when the steps are dependent, by
-/// different processes, and `j` does not happen-before `k` through any
-/// intermediate step — i.e. the two could have been adjacent. For each
-/// race, the wakeup-free source-set rule applies: if no *weak initial*
-/// of the reversing continuation is already in `backtrack(j)`, the
-/// process of the first reversing step is added.
+/// Happens-before is the transitive closure of program order and the
+/// mode's dependence relation `!step_independent`, kept as vector
+/// clocks in `clocks` (rows `0..first_new` are reused when cached at
+/// the current width). A pair `(j, k)` races when the steps are
+/// dependent, by different processes, and `j` does not happen-before
+/// `k` through any intermediate step — i.e. the two could have been
+/// adjacent. For each race, the wakeup-free source-set rule applies:
+/// if no *weak initial* of the reversing continuation is already in
+/// `backtrack(j)`, the process of the first reversing step is added.
+///
+/// For each new step `k` the scan walks back over the earlier steps
+/// that `k`'s clock does not cover yet, largest index first, through
+/// per-process cursors in `scan`: a step is covered exactly when its
+/// own clock component is, so covered steps are never visited and the
+/// work per step grows with the number of concurrent steps, not with
+/// the length of the word. The visit order is the descending order of
+/// a scan over every earlier step, so the races, their validation, the
+/// clock joins and the order of the demands are the same as that
+/// scan's (module docs, *Why the cursor scan finds every race*). The
+/// same one-component test decides the reversing continuation and its
+/// weak initials.
 ///
 /// Demands at depths below `apply_floor` cannot be applied here (those
 /// nodes are ghosts owned by a parent task): they are recorded in
 /// `escapes` in detection order, except below `hard_stem` (the
-/// user-supplied stem, which is never backtracked into at all).
+/// user-supplied stem, which is never backtracked into at all). Only
+/// steps from `first_new` on raise demands; earlier steps whose clocks
+/// had to be recomputed are scanned for their clocks and validation.
 ///
 /// `all_dependent`, `value_aware`, `optimal` and `statics` select the
 /// independence relation for both the vector clocks and the race test
 /// (they must agree): all-dependent, syntactic
 /// ([`PendingAccess::independent`]), value-aware, or value-aware plus
 /// the observer rule and the static placement relaxation
-/// ([`step_independent`]).
+/// ([`step_independent`]). The relation is consulted only for
+/// concurrent pairs.
 ///
 /// When `statics` is present, every dependent concurrent data/data
 /// pair is additionally **validated** against the certificate's
@@ -2797,7 +2916,8 @@ fn apply_escape(node: &mut SpineNode, esc: Escape) {
 #[allow(clippy::too_many_arguments)]
 fn add_race_reversals(
     spine: &mut [SpineNode],
-    clocks: &mut Vec<Vec<u32>>,
+    clocks: &mut Clocks,
+    scan: &mut RaceScan,
     first_new: usize,
     apply_floor: usize,
     hard_stem: usize,
@@ -2809,7 +2929,7 @@ fn add_race_reversals(
 ) {
     let len = spine.len();
     if len == 0 {
-        clocks.clear();
+        clocks.rows.clear();
         return;
     }
     // Ghost nodes have empty `runnable`; their `chosen` still bounds
@@ -2826,63 +2946,84 @@ fn add_race_reversals(
     // first decision that changed. The width check guards the first
     // runs, before the process universe is fully observed.
     let mut start = first_new.min(clocks.len());
-    if clocks[..start].iter().any(|c| c.len() != nprocs) {
+    if clocks.width != nprocs {
+        clocks.width = nprocs;
         start = 0;
     }
-    clocks.truncate(start);
-    let mut proc_clock: Vec<Vec<u32>> = vec![vec![0u32; nprocs]; nprocs];
-    {
-        // Rebuild each process's last-step clock from the cached
-        // prefix: backward scan, one clone per process.
-        let mut filled = vec![false; nprocs];
-        for i in (0..start).rev() {
-            let p = spine[i].chosen;
-            if !filled[p] {
-                filled[p] = true;
-                proc_clock[p] = clocks[i].clone();
-                if filled.iter().all(|&f| f) {
-                    break;
-                }
-            }
+    clocks.rows.truncate(start * nprocs);
+    // Index the steps `0..start` by process: drop what the last call
+    // indexed beyond `start`, add what it had not indexed yet.
+    let RaceScan {
+        by_proc,
+        indexed,
+        base,
+        cursor,
+        races,
+    } = scan;
+    by_proc.resize_with(nprocs, Vec::new);
+    for steps in by_proc.iter_mut() {
+        while steps.last().is_some_and(|&i| i >= start) {
+            steps.pop();
         }
     }
-    // (decision index j, process to add if no initial is present yet,
-    //  weak initials of the reversing continuation, the continuation
-    //  itself as a wakeup sequence in optimal mode)
-    let mut additions: Vec<(usize, usize, Vec<usize>, Option<WakeupSeq>)> = Vec::new();
+    for (i, node) in spine.iter().enumerate().take(start).skip(*indexed) {
+        by_proc[node.chosen].push(i);
+    }
+    let mut additions: Vec<Escape> = Vec::new();
     for k in start..len {
         let (p, a) = (spine[k].chosen, spine[k].meta);
-        let mut base = proc_clock[p].clone();
-        let mut races: Vec<usize> = Vec::new();
-        for j in (0..k).rev() {
-            let (q, b) = (spine[j].chosen, spine[j].meta);
+        // Start from the clock of `p`'s previous step.
+        base.clear();
+        match by_proc[p].last() {
+            Some(&prev) => base.extend_from_slice(clocks.row(prev)),
+            None => base.resize(nprocs, 0),
+        }
+        cursor.clear();
+        cursor.extend(by_proc.iter().map(Vec::len));
+        races.clear();
+        loop {
+            // The largest earlier index `base` does not cover yet: per
+            // process, covered steps are exactly the first `base[q]`.
+            let mut next: Option<(usize, usize)> = None;
+            for (q, &c) in cursor.iter().enumerate() {
+                if c > base[q] as usize {
+                    let j = by_proc[q][c - 1];
+                    if next.is_none_or(|(best, _)| j > best) {
+                        next = Some((j, q));
+                    }
+                }
+            }
+            let Some((j, q)) = next else {
+                break;
+            };
+            cursor[q] -= 1;
+            // `p`'s own steps are covered from the start.
+            debug_assert_ne!(q, p);
+            let b = spine[j].meta;
             if step_independent(&a, &b, all_dependent, value_aware, optimal, statics) {
                 continue;
             }
-            if !clock_leq(&clocks[j], &base) {
-                // Not yet happens-before `k` through closer steps: this
-                // is an immediate race (when by another process).
-                if q != p {
-                    if let Some(st) = statics {
-                        validate_race(st, &a, &b);
-                    }
-                    if k >= first_new && j >= hard_stem {
-                        races.push(j);
-                    }
-                }
-                for (x, y) in base.iter_mut().zip(&clocks[j]) {
-                    *x = (*x).max(*y);
-                }
+            // Dependent and not yet happens-before `k` through closer
+            // steps: an immediate race.
+            if let Some(st) = statics {
+                validate_race(st, &a, &b);
+            }
+            if k >= first_new && j >= hard_stem {
+                races.push(j);
+            }
+            for (x, y) in base.iter_mut().zip(clocks.row(j)) {
+                *x = (*x).max(*y);
             }
         }
         base[p] += 1;
-        clocks.push(base);
-        proc_clock[p] = clocks[k].clone();
-        for &j in &races {
+        clocks.rows.extend_from_slice(base);
+        by_proc[p].push(k);
+        for &j in races.iter() {
+            let qj = spine[j].chosen;
             // The reversing continuation: every step between `j` and
             // `k` not happens-after `j`, then `k`'s process.
             let v: Vec<usize> = (j + 1..k)
-                .filter(|&m| !clock_leq(&clocks[j], &clocks[m]))
+                .filter(|&m| !clocks.happens_before(j, qj, m))
                 .chain([k])
                 .collect();
             // Weak initials: processes whose first step in `v` is not
@@ -2895,7 +3036,10 @@ fn add_race_reversals(
                     continue;
                 }
                 seen.push(pm);
-                if v[..mi].iter().all(|&l| !clock_leq(&clocks[l], &clocks[m])) {
+                if v[..mi]
+                    .iter()
+                    .all(|&l| !clocks.happens_before(l, spine[l].chosen, m))
+                {
                     initials.push(pm);
                 }
             }
@@ -2908,27 +3052,20 @@ fn add_race_reversals(
                     .map(|&m| (spine[m].chosen, spine[m].meta.access))
                     .collect::<WakeupSeq>()
             });
-            additions.push((j, spine[v[0]].chosen, initials, seq));
-        }
-    }
-    for (j, first_proc, initials, seq) in additions {
-        if j >= apply_floor {
-            apply_escape(
-                &mut spine[j],
-                Escape {
-                    depth: j,
-                    first_proc,
-                    initials,
-                    seq,
-                },
-            );
-        } else {
-            escapes.push(Escape {
+            additions.push(Escape {
                 depth: j,
-                first_proc,
+                first_proc: spine[v[0]].chosen,
                 initials,
                 seq,
             });
+        }
+    }
+    *indexed = len;
+    for esc in additions {
+        if esc.depth >= apply_floor {
+            apply_escape(&mut spine[esc.depth], esc);
+        } else {
+            escapes.push(esc);
         }
     }
 }
@@ -4455,5 +4592,260 @@ mod tests {
         );
         assert!(store.exists(), "rejection leaves the checkpoint untouched");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A random step of the race oracle's words: a pause or a
+    /// read/write/RMW on one of three registers, with random execution
+    /// metadata (markers, value, op) — occasionally the conservative
+    /// unknown, as ghost steps carry before their first replay.
+    fn oracle_step(rng: &mut sl_mem::SmallRng, regs: &[RegSym; 3], ops: &[OpSym; 3]) -> StepMeta {
+        let kind = [
+            AccessKind::Local,
+            AccessKind::Read,
+            AccessKind::Write,
+            AccessKind::Write,
+            AccessKind::Rmw,
+        ][rng.gen_range(5)];
+        let r = rng.gen_range(3);
+        let access = if kind == AccessKind::Local {
+            PendingAccess::LOCAL
+        } else {
+            PendingAccess {
+                reg: RegId(r as u32),
+                kind,
+            }
+        };
+        if rng.gen_bool(0.1) {
+            return StepMeta::unknown(access);
+        }
+        let hi = rng.gen_bool(0.3);
+        StepMeta {
+            access,
+            exec: ExecMeta {
+                value: if access.is_local() {
+                    ValueId::NONE
+                } else {
+                    ValueId::of(&(rng.gen_range(2) as u64))
+                },
+                reg: if access.is_local() {
+                    RegSym::LOCAL
+                } else {
+                    regs[r]
+                },
+                hi,
+                resp: hi && rng.gen_bool(0.5),
+                unobs_w: false,
+                op: *rng.choose(ops),
+            },
+        }
+    }
+
+    /// A race demand as `(depth, first process, weak initials, wakeup
+    /// sequence)`.
+    type Demand = (usize, usize, Vec<usize>, Option<WakeupSeq>);
+
+    /// The demands race detection must raise for the word `spine`,
+    /// from the definitions alone: happens-before is the transitive
+    /// closure of program order and `!independent`, and `(j, k)` races
+    /// when the steps are dependent, of different processes, and no
+    /// `m` in `(j, k)` has `j →hb m →hb k`. Returns the demands of the
+    /// steps from `first_new` on in detection order (`k` ascending, `j`
+    /// descending), and every step's clock row (component `r`
+    /// counts the steps of `r` that happen-before the step, itself
+    /// included).
+    fn oracle_races(
+        spine: &[SpineNode],
+        first_new: usize,
+        optimal: bool,
+        independent: impl Fn(&StepMeta, &StepMeta) -> bool,
+    ) -> (Vec<Demand>, Vec<u32>) {
+        let n = spine.len();
+        let proc = |i: usize| spine[i].chosen;
+        let dep =
+            |j: usize, k: usize| proc(j) == proc(k) || !independent(&spine[k].meta, &spine[j].meta);
+        // hb[j][k], j < k: some chain of dependent steps leads from j to k.
+        let mut hb = vec![vec![false; n]; n];
+        for k in 0..n {
+            for j in (0..k).rev() {
+                hb[j][k] = (j..k).any(|m| (m == j || hb[j][m]) && dep(m, k));
+            }
+        }
+        let hb_eq = |x: usize, y: usize| x == y || (x < y && hb[x][y]);
+        let width = (0..n).map(proc).max().map_or(0, |p| p + 1);
+        let mut rows = Vec::new();
+        for k in 0..n {
+            for r in 0..width {
+                rows.push((0..=k).filter(|&m| proc(m) == r && hb_eq(m, k)).count() as u32);
+            }
+        }
+        let mut demands = Vec::new();
+        for k in first_new..n {
+            for j in (0..k).rev() {
+                let races = proc(j) != proc(k)
+                    && !independent(&spine[k].meta, &spine[j].meta)
+                    && !(j + 1..k).any(|m| hb[j][m] && hb[m][k]);
+                if !races {
+                    continue;
+                }
+                let v: Vec<usize> = (j + 1..k).filter(|&m| !hb[j][m]).chain([k]).collect();
+                let mut seen = Vec::new();
+                let mut initials = Vec::new();
+                for (mi, &m) in v.iter().enumerate() {
+                    if seen.contains(&proc(m)) {
+                        continue;
+                    }
+                    seen.push(proc(m));
+                    if v[..mi].iter().all(|&l| !hb_eq(l, m)) {
+                        initials.push(proc(m));
+                    }
+                }
+                let seq = optimal.then(|| {
+                    v.iter()
+                        .map(|&m| (proc(m), spine[m].meta.access))
+                        .collect::<WakeupSeq>()
+                });
+                demands.push((j, proc(v[0]), initials, seq));
+            }
+        }
+        (demands, rows)
+    }
+
+    /// Race detection, checked against [`oracle_races`] on random
+    /// executed words under every mode's relation: fresh words, words
+    /// grown one step at a time over cached clocks (including a
+    /// process whose first step comes late, which widens the rows and
+    /// forces a recompute from row 0), and cached words whose suffix is
+    /// replaced. Compares the demands in order and every clock row.
+    #[test]
+    fn race_detection_matches_the_happens_before_definition() {
+        let regs = [
+            RegSym::intern("oracle-r0", file!(), line!(), 1),
+            RegSym::intern("oracle-r1", file!(), line!(), 1),
+            RegSym::intern("oracle-r2", file!(), line!(), 1),
+        ];
+        let ops = [
+            OpSym::NONE,
+            OpSym::intern("OracleA"),
+            OpSym::intern("OracleB"),
+        ];
+        // Licenses r0/r1, predicts every register racy (so validation
+        // never aborts), and probes two op pairs.
+        let mut cert = StaticConflicts::new([regs[0], regs[1]], regs);
+        cert.add_pair("OracleA", "OracleB", [regs[0], regs[1]], [regs[0]]);
+        cert.add_pair("OracleA", "OracleA", regs, [regs[1]]);
+        // (name, all_dependent, value_aware, optimal, certificate)
+        let relations: [(&str, bool, bool, bool, Option<&StaticConflicts>); 6] = [
+            ("unpruned", true, false, false, None),
+            ("source", false, false, false, None),
+            ("value", false, true, false, None),
+            ("static", false, true, false, Some(&cert)),
+            ("optimal", false, true, true, None),
+            ("optimal+cert", false, true, true, Some(&cert)),
+        ];
+        let mut widened = 0;
+        for (name, all_dependent, value_aware, optimal, statics) in relations {
+            let independent = |a: &StepMeta, b: &StepMeta| {
+                step_independent(a, b, all_dependent, value_aware, optimal, statics)
+            };
+            // One detection pass over `spine` with cached `clocks`/`scan`,
+            // lowering `first_new` to the first observer-flag change as
+            // the task loop does, checked against the oracle.
+            let check = |spine: &mut Vec<SpineNode>,
+                         clocks: &mut Clocks,
+                         scan: &mut RaceScan,
+                         first_new: usize,
+                         what: &str| {
+                let mut first_new = first_new;
+                if optimal {
+                    first_new = first_new.min(refresh_observer_flags(spine));
+                }
+                let mut escapes = Vec::new();
+                add_race_reversals(
+                    spine,
+                    clocks,
+                    scan,
+                    first_new,
+                    usize::MAX,
+                    0,
+                    all_dependent,
+                    value_aware,
+                    optimal,
+                    statics,
+                    &mut escapes,
+                );
+                let got: Vec<_> = escapes
+                    .into_iter()
+                    .map(|e| (e.depth, e.first_proc, e.initials, e.seq))
+                    .collect();
+                let (want, rows) = oracle_races(spine, first_new, optimal, independent);
+                assert_eq!(got, want, "{name}: demands of {what}");
+                assert_eq!(clocks.rows, rows, "{name}: clock rows of {what}");
+            };
+            for seed in 0..120u64 {
+                let mut rng = sl_mem::SmallRng::new(seed * 7 + 1);
+                let nprocs = 2 + rng.gen_range(3);
+                let len = 6 + rng.gen_range(13);
+                // Every other word holds its last process back until
+                // `late`, so growing it widens the clock rows mid-way.
+                let late = (seed % 2 == 1).then(|| 1 + rng.gen_range(len - 1));
+                let word: Vec<(usize, StepMeta)> = (0..len)
+                    .map(|i| {
+                        let top = if late.is_some_and(|l| i < l) {
+                            nprocs - 1
+                        } else {
+                            nprocs
+                        };
+                        let p = if late == Some(i) {
+                            nprocs - 1
+                        } else {
+                            rng.gen_range(top)
+                        };
+                        (p, oracle_step(&mut rng, &regs, &ops))
+                    })
+                    .collect();
+                let ghosts = |steps: &[(usize, StepMeta)]| -> Vec<SpineNode> {
+                    steps
+                        .iter()
+                        .map(|&(p, meta)| SpineNode::ghost(p, meta))
+                        .collect()
+                };
+                // The whole word at once.
+                let mut spine = ghosts(&word);
+                let (mut clocks, mut scan) = (Clocks::default(), RaceScan::default());
+                check(&mut spine, &mut clocks, &mut scan, 0, "a fresh word");
+                // Grown one step at a time over the cached clocks.
+                let (mut clocks, mut scan) = (Clocks::default(), RaceScan::default());
+                let mut grown = Vec::new();
+                for (k, &(p, meta)) in word.iter().enumerate() {
+                    let width = clocks.width;
+                    grown.push(SpineNode::ghost(p, meta));
+                    check(&mut grown, &mut clocks, &mut scan, k, "a growing word");
+                    if k > 0 && clocks.width != width {
+                        widened += 1;
+                    }
+                }
+                // A cached word whose suffix from `f` is replaced; the
+                // first step names the widest process, so the rows keep
+                // their width and the prefix stays cached.
+                let f = 1 + rng.gen_range(len - 1);
+                let mut spine = ghosts(&word);
+                spine[0].chosen = nprocs - 1;
+                let (mut clocks, mut scan) = (Clocks::default(), RaceScan::default());
+                check(
+                    &mut spine,
+                    &mut clocks,
+                    &mut scan,
+                    0,
+                    "a word before its new suffix",
+                );
+                spine.truncate(f);
+                for _ in f..len + rng.gen_range(4) {
+                    let p = rng.gen_range(nprocs);
+                    spine.push(SpineNode::ghost(p, oracle_step(&mut rng, &regs, &ops)));
+                }
+                check(&mut spine, &mut clocks, &mut scan, f, "a replaced suffix");
+            }
+        }
+        assert!(widened > 0, "some growing word must widen its clock rows");
     }
 }

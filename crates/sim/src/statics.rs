@@ -60,7 +60,11 @@ use sl_check::{OpSym, RegSym};
 /// across worker counts — the exploration results are.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StaticTelemetry {
-    /// Step pairs commuted by the placement relaxation.
+    /// Step pairs commuted by a certificate relaxation (placement,
+    /// pause/pause, or an op-pair-licensed value rule). Counted only for
+    /// *concurrent* pairs — the ones race detection decides: a pair
+    /// already ordered by happens-before is skipped before the relation
+    /// is consulted, so it is never counted.
     pub relaxed: u64,
     /// Dynamic races checked against the matrix and found predicted.
     pub validated: u64,

@@ -37,7 +37,7 @@
 //! # Example
 //!
 //! ```
-//! use sl_api::sim::{explore_object, SimExplore};
+//! use sl_api::sim::{explore_object, DriveOps as _, SimExplore};
 //! use sl_api::ObjectBuilder;
 //! use sl_sim::PruneMode;
 //! use sl_spec::{AbaOp, AbaSpec};
@@ -54,10 +54,12 @@
 //!     workers: 1,
 //!     ..SimExplore::default()
 //! };
-//! let explored = explore_object::<AbaSpec<u64>, _, _>(
+//! let explored = explore_object::<AbaSpec<u64>, _, _, _>(
 //!     |mem| ObjectBuilder::on(mem).processes(2).aba_register::<u64>(),
 //!     &[vec![AbaOp::DWrite(1)], vec![AbaOp::DRead]],
+//!     |h, op| h.drive(op),
 //!     &cfg,
+//!     None,
 //! );
 //! assert!(explored.check_strong(&AbaSpec::new(2)).holds);
 //! ```

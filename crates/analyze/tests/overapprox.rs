@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use sl_analyze::Certificate;
-use sl_api::sim::{explore_object, explore_object_with, DriveOps, SimExplore};
+use sl_api::sim::{explore_object, DriveOps, SimExplore};
 use sl_api::{ObjectBuilder, SharedObject, UniversalOps};
 use sl_sim::{PruneMode, SimMem, StaticConflicts};
 use sl_spec::{
@@ -66,18 +66,25 @@ fn assert_overapproximates<S, O, F>(
 {
     let st = Arc::new(cert.static_conflicts());
     st.enable_race_recording();
-    let pruned = explore_object::<S, O, F>(
+    let pruned = explore_object::<S, O, F, _>(
         factory,
         workload,
+        |h, op| h.drive(op),
         &cfg(PruneMode::StaticDpor, Some(Arc::clone(&st)), budget),
+        None,
     );
     assert!(pruned.outcome.runs > 0, "{label}: nothing explored");
     assert_pair_superset(label, cert, &st);
     if !pruned.outcome.exhausted {
         return;
     }
-    let baseline =
-        explore_object::<S, O, F>(factory, workload, &cfg(PruneMode::ValueDpor, None, budget));
+    let baseline = explore_object::<S, O, F, _>(
+        factory,
+        workload,
+        |h, op| h.drive(op),
+        &cfg(PruneMode::ValueDpor, None, budget),
+        None,
+    );
     if baseline.outcome.exhausted {
         assert_eq!(
             baseline.check_strong(spec).holds,
@@ -243,7 +250,7 @@ macro_rules! universal_overapprox_test {
             let uni_cert = cert(&certs, "universal-counter", $name);
             let st = Arc::new(uni_cert.static_conflicts());
             st.enable_race_recording();
-            let pruned = explore_object_with::<CounterSpec, _, _, _>(
+            let pruned = explore_object::<CounterSpec, _, _, _>(
                 |mem: &SimMem| {
                     ObjectBuilder::on(mem)
                         .processes(2)
@@ -253,6 +260,7 @@ macro_rules! universal_overapprox_test {
                 &counter_workload(),
                 |h, op| UniversalOps::execute(h, op.clone()),
                 &cfg(PruneMode::StaticDpor, Some(Arc::clone(&st)), SAMPLED),
+                None,
             );
             assert!(pruned.outcome.runs > 0);
             assert_pair_superset(concat!($name, " universal-counter"), &uni_cert, &st);
@@ -359,10 +367,12 @@ fn lin_snapshots_overapproximate() {
 fn doctored_certificate_fails_closed() {
     let cert = sl_analyze::aba_certificate(2);
     let st = Arc::new(StaticConflicts::new(cert.licensed_syms(), []));
-    let explored = explore_object::<AbaSpec<u64>, _, _>(
+    let explored = explore_object::<AbaSpec<u64>, _, _, _>(
         |mem: &SimMem| ObjectBuilder::on(mem).processes(2).aba_register::<u64>(),
         &aba_workload(),
+        |h, op| h.drive(op),
         &cfg(PruneMode::StaticDpor, Some(st), FULL),
+        None,
     );
     let out = &explored.outcome;
     assert!(
@@ -395,10 +405,12 @@ fn doctored_pair_cell_fails_closed() {
         );
     }
     let st = Arc::new(st);
-    let explored = explore_object::<AbaSpec<u64>, _, _>(
+    let explored = explore_object::<AbaSpec<u64>, _, _, _>(
         |mem: &SimMem| ObjectBuilder::on(mem).processes(2).aba_register::<u64>(),
         &aba_workload(),
+        |h, op| h.drive(op),
         &cfg(PruneMode::StaticDpor, Some(st), FULL),
+        None,
     );
     let out = &explored.outcome;
     assert!(
@@ -419,10 +431,12 @@ fn doctored_pair_cell_fails_closed() {
 fn telemetry_counts_relaxations_and_validations() {
     let cert = sl_analyze::aba_certificate(2);
     let st = Arc::new(cert.static_conflicts());
-    let explored = explore_object::<AbaSpec<u64>, _, _>(
+    let explored = explore_object::<AbaSpec<u64>, _, _, _>(
         |mem: &SimMem| ObjectBuilder::on(mem).processes(2).aba_register::<u64>(),
         &[vec![AbaOp::DWrite(1), AbaOp::DWrite(2)], vec![AbaOp::DRead]],
+        |h, op| h.drive(op),
         &cfg(PruneMode::StaticDpor, Some(Arc::clone(&st)), FULL),
+        None,
     );
     assert!(explored.outcome.exhausted);
     let t = st.telemetry();

@@ -563,9 +563,10 @@ where
     G: Fn(&mut SmallRng, ProcId) -> S::Op,
 {
     let explore = |w: &[Vec<S::Op>], mode: PruneMode, st: Option<Arc<StaticConflicts>>| {
-        explore_object::<S, O, F>(
+        explore_object::<S, O, F, _>(
             factory,
             w,
+            |h, op| h.drive(op),
             &SimExplore {
                 mode,
                 workers: 1,
@@ -574,6 +575,7 @@ where
                 step_budget: cfg.step_budget,
                 ..SimExplore::default()
             },
+            None,
         )
     };
     // None = baseline did not exhaust or no divergence; Some((mode,

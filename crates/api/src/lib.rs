@@ -53,8 +53,9 @@
 //!
 //! # Distributed exploration
 //!
-//! [`sim::explore_object_dag_distributed`] runs the same schedule
-//! exploration across a fleet of **worker processes**: delegated
+//! [`sim::explore_object_distributed`] runs the same schedule
+//! exploration as [`sim::explore_object`] across a fleet of **worker
+//! processes**: delegated
 //! subtree tasks are frozen, shipped over a length-prefixed,
 //! checksummed frame protocol (`sl-dist`), explored remotely, and the
 //! returned DAG shards merged — with runs/cut/pruned telemetry,
@@ -99,7 +100,7 @@
 //! bit-identical. Fleet shape, lease deadline, heartbeat cadence,
 //! backoff, and retry budget are [`sl_dist::FleetConfig`] knobs;
 //! dispatch/completion/revocation/quarantine counts come back as
-//! [`sim::DistTelemetry`].
+//! [`sim::DistTelemetry`] in the result's `fleet` field.
 
 #![deny(unsafe_code)]
 

@@ -3,41 +3,46 @@
 //! The builder constructs objects; this module runs them. Give
 //! [`explore_object`] a factory (a closure building the object on a
 //! fresh `SimMem` — typically an [`crate::ObjectBuilder`] chain), a
-//! per-process workload of sequential-spec operations, and an
-//! [`SimExplore`] budget; it enumerates adversary schedules on the step
-//! VM with value-aware source-set DPOR pruning, streams every
-//! transcript into an incremental prefix tree, and hands back an
-//! [`ExploredObject`] ready for `sl_check`'s deciders:
+//! per-process workload of sequential-spec operations, a closure
+//! applying one operation to a handle (`|h, op| h.drive(op)` for every
+//! builder family, see [`DriveOps`]), and an [`SimExplore`] budget; it
+//! enumerates adversary schedules on the step VM with value-aware
+//! source-set DPOR pruning, streams every transcript into hash-consed
+//! per-subtree DAG shards, and hands back their merge as an
+//! [`Explored`] ready for `sl_check`'s memoised strong-lin checker:
 //!
 //! ```
-//! use sl_api::sim::{explore_object, SimExplore};
+//! use sl_api::sim::{explore_object, DriveOps as _, SimExplore};
 //! use sl_api::ObjectBuilder;
 //! use sl_spec::types::AbaSpec;
 //! use sl_spec::AbaOp;
 //!
 //! // Theorem 12, bounded: Algorithm 2 is strongly linearizable over
 //! // every schedule of one DWrite and one DRead.
-//! let explored = explore_object::<AbaSpec<u64>, _, _>(
+//! let explored = explore_object::<AbaSpec<u64>, _, _, _>(
 //!     |mem| ObjectBuilder::on(mem).processes(2).aba_register::<u64>(),
 //!     &[vec![AbaOp::DWrite(9)], vec![AbaOp::DRead]],
+//!     |h, op| h.drive(op),
 //!     &SimExplore::default(),
+//!     None,
 //! );
 //! assert!(explored.outcome.exhausted);
 //! assert!(explored.check_strong(&AbaSpec::<u64>::new(2)).holds);
 //! ```
+//!
+//! [`explore_object_distributed`] runs the same exploration with
+//! subtree tasks farmed to worker processes, whose serve loop is
+//! [`serve_object_worker`].
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
-use sl_check::{
-    check_linearizable, check_strongly_linearizable, check_strongly_linearizable_dag, DagShards,
-    HistoryTree, StrongLinReport, TreeBuilder, TreeDag, TreeStep,
-};
+use sl_check::{check_strongly_linearizable_dag, DagShards, StrongLinReport, TreeDag, TreeStep};
 use sl_dist::{DistCoordinator, FleetConfig, WireSpec};
 use sl_mem::Value;
 use sl_sim::{
-    EventLog, ExploreOutcome, Explorer, ProcCtx, Program, PruneMode, ReplayCtx, ReplayPool,
-    ResumeSession, RunOutcome, Scheduler, Sharded, SimMem, SimWorld, StaticConflicts,
+    EventLog, ExploreOutcome, Explorer, ProcCtx, Program, PruneMode, ReplayPool, ResumeSession,
+    RunOutcome, ScheduleDriver, Scheduler, Sharded, SimMem, SimWorld, StaticConflicts,
 };
 use sl_spec::types::{AbaSpec, CounterSpec, MaxRegisterSpec, SnapshotSpec};
 use sl_spec::{
@@ -51,10 +56,11 @@ use crate::object::{AbaOps, CounterOps, MaxRegisterOps, ObjectHandle, SharedObje
 /// the bridge between the spec-level workloads the checker understands
 /// and the per-family operation traits handles implement.
 ///
-/// Blanket-implemented for every family's handles; objects whose
-/// operations do not map onto a spec this way (e.g. the universal
-/// construction, whose op type belongs to its `SimpleType`) can use
-/// the `*_with` harness entry points with an explicit apply closure.
+/// Blanket-implemented for every family's handles, so their apply
+/// closure is `|h, op| h.drive(op)`; objects whose operations do not
+/// map onto a spec this way (e.g. the universal construction, whose op
+/// type belongs to its `SimpleType`) pass their own apply closure to
+/// the exploration entry points instead.
 pub trait DriveOps<S: SeqSpec>: ObjectHandle {
     /// Executes `op` on the object and returns its response.
     fn drive(&mut self, op: &S::Op) -> S::Resp;
@@ -157,47 +163,42 @@ impl Default for SimExplore {
     }
 }
 
-/// The result of exploring one object: the merged prefix tree of every
-/// transcript plus the exploration statistics.
-pub struct ExploredObject<S: SeqSpec> {
-    /// Prefix tree over all explored transcripts — the set strong
-    /// linearizability quantifies over.
-    pub tree: HistoryTree<S>,
-    /// Runs, exhaustion, pruning statistics.
+impl SimExplore {
+    /// The explorer these budgets configure.
+    fn explorer(&self) -> Explorer {
+        Explorer {
+            max_runs: self.max_runs,
+            mode: self.mode,
+            workers: self.workers,
+            stem: self.stem.clone(),
+            statics: self.statics.clone(),
+        }
+    }
+}
+
+/// The result of exploring one object: the hash-consed DAG of every
+/// explored transcript plus the exploration statistics.
+pub struct Explored<S: SeqSpec> {
+    /// Hash-consed DAG over all explored transcripts — the set strong
+    /// linearizability quantifies over. **Symbolized exactly when
+    /// `fleet` is `Some`**: a distributed run merges shards from several
+    /// processes into one label space, so compare its structural hash
+    /// against an in-process run's `dag.symbolize()`.
+    pub dag: TreeDag<S>,
+    /// Runs, exhaustion, pruning statistics — identical at any worker
+    /// thread or process count.
     pub outcome: ExploreOutcome,
+    /// Coordinator counters of a distributed run
+    /// ([`explore_object_distributed`]); `None` in-process.
+    pub fleet: Option<DistTelemetry>,
 }
 
-impl<S: SeqSpec> ExploredObject<S> {
-    /// Decides strong linearizability of the explored transcript tree.
+impl<S: SeqSpec> Explored<S> {
+    /// Decides strong linearizability of the explored transcript set
+    /// with the memoised DAG checker.
     pub fn check_strong(&self, spec: &S) -> StrongLinReport {
-        check_strongly_linearizable(spec, &self.tree)
+        check_strongly_linearizable_dag(spec, &self.dag)
     }
-
-    /// Checks plain linearizability of every maximal transcript,
-    /// returning the first failing history if any.
-    pub fn first_non_linearizable(&self, spec: &S) -> Option<History<S>> {
-        for transcript in self.tree.transcripts() {
-            let h = history_of_transcript::<S>(&transcript);
-            if check_linearizable(spec, &h).is_none() {
-                return Some(h);
-            }
-        }
-        None
-    }
-}
-
-/// Extracts the high-level history from a transcript.
-pub fn history_of_transcript<S: SeqSpec>(transcript: &[TreeStep<S>]) -> History<S> {
-    let mut h = History::new();
-    for step in transcript {
-        if let TreeStep::Event(e) = step {
-            match &e.kind {
-                sl_spec::EventKind::Invoke(op) => h.invoke_with_id(e.op, e.proc, op.clone()),
-                sl_spec::EventKind::Respond(r) => h.respond(e.op, r.clone()),
-            }
-        }
-    }
-    h
 }
 
 /// One simulated run of an object workload under a given scheduler.
@@ -286,220 +287,110 @@ where
 
 /// One worker's warm replay state: a world (registers, the object under
 /// test, the event log) built once and reset between schedules —
-/// [`ReplayPool`] owns the reset/replay/recycle ordering; this wrapper
-/// adds the object and the workload application. Replays re-execute the
-/// workload's programs (cheap closures over the same handles) on warm
-/// fiber stacks and recycled trace buffers instead of building a fresh
-/// world per schedule — the world-reuse half of the exploration
-/// throughput work (the other half is parallel source-DPOR).
+/// [`ReplayPool`] owns the reset/replay/recycle ordering; this adds the
+/// object. Replays re-execute the workload's programs (cheap closures
+/// over the same handles) on warm fiber stacks and recycled trace
+/// buffers instead of building a fresh world per schedule.
 struct PooledWorld<S: SeqSpec, O> {
     pool: ReplayPool<S>,
     obj: O,
 }
 
-impl<S, O> PooledWorld<S, O>
+/// Shard sinks are locked only to push or hash finished shards, which
+/// cannot panic, so a poisoned sink is a bug.
+const POISONED: &str = "shard sink poisoned";
+
+/// A worker's replay context: its warm world plus the per-subtree DAG
+/// shards its transcripts stream into.
+type ObjectCtx<'s, S, O> = Sharded<'s, S, PooledWorld<S, O>>;
+
+/// What every exploration of an object replays — factory, workload,
+/// apply closure, step budget — shared by all worker threads.
+struct ObjectRun<'w, S: SeqSpec, F, A> {
+    factory: F,
+    workload: &'w [Vec<S::Op>],
+    apply: Arc<A>,
+    step_budget: u64,
+}
+
+impl<'w, S, O, F, A> ObjectRun<'w, S, F, A>
 where
     S: SeqSpec + 'static,
     S::Op: Send + Sync,
     S::Resp: Send + Sync,
     S::State: Send + Sync,
     O: SharedObject<SimMem>,
+    F: Fn(&SimMem) -> O + Sync,
+    A: Fn(&mut O::Handle, &S::Op) -> S::Resp + Send + Sync + 'static,
 {
-    fn new<F: Fn(&SimMem) -> O>(factory: &F, n: usize) -> Self {
-        let world = SimWorld::new(n);
-        let obj = factory(&world.mem());
-        PooledWorld {
-            pool: ReplayPool::new(world),
-            obj,
+    fn new(factory: F, workload: &'w [Vec<S::Op>], apply: A, step_budget: u64) -> Self {
+        assert!(
+            !workload.is_empty(),
+            "workload must cover at least one process"
+        );
+        ObjectRun {
+            factory,
+            workload,
+            apply: Arc::new(apply),
+            step_budget,
         }
     }
 
-    /// Runs one schedule; afterwards `self.pool.transcript()` holds the
-    /// run's transcript.
-    fn replay<A>(
-        &mut self,
-        workload: &[Vec<S::Op>],
-        apply: &Arc<A>,
-        scheduler: &mut dyn Scheduler,
-        step_budget: u64,
-    ) where
-        A: Fn(&mut O::Handle, &S::Op) -> S::Resp + Send + Sync + 'static,
-    {
-        let obj = &self.obj;
-        self.pool.replay(
-            |log| programs_for(obj, log, workload, apply),
-            scheduler,
-            step_budget,
+    /// A fresh worker context whose finished shards land in `sink`.
+    fn ctx<'s>(&self, sink: &'s Mutex<Vec<TreeDag<S>>>) -> ObjectCtx<'s, S, O> {
+        let world = SimWorld::new(self.workload.len());
+        let obj = (self.factory)(&world.mem());
+        Sharded {
+            inner: PooledWorld {
+                pool: ReplayPool::new(world),
+                obj,
+            },
+            shards: DagShards::new(sink),
+        }
+    }
+
+    /// Runs one schedule and streams its transcript into the open
+    /// shard. Each subtree the explorer hands a worker is ingested in
+    /// depth-first order; [`TreeDag::merge`] unions the shards after.
+    fn replay(&self, ctx: &mut ObjectCtx<'_, S, O>, driver: &mut ScheduleDriver) {
+        let PooledWorld { pool, obj } = &mut ctx.inner;
+        pool.replay(
+            |log| programs_for(obj, log, self.workload, &self.apply),
+            driver,
+            self.step_budget,
         );
+        ctx.shards.ingest(pool.transcript());
     }
 }
 
-impl<S: SeqSpec, O> ReplayCtx for PooledWorld<S, O> {}
-
-/// [`explore_object`] with an explicit apply closure, for objects whose
-/// operations don't map onto a spec via [`DriveOps`] (e.g. the §5
-/// universal construction).
-pub fn explore_object_with<S, O, F, A>(
-    factory: F,
-    workload: &[Vec<S::Op>],
-    apply: A,
-    cfg: &SimExplore,
-) -> ExploredObject<S>
-where
-    S: SeqSpec + 'static,
-    S::Op: Send + Sync,
-    S::Resp: Send + Sync,
-    S::State: Send + Sync,
-    O: SharedObject<SimMem>,
-    F: Fn(&SimMem) -> O + Sync,
-    A: Fn(&mut O::Handle, &S::Op) -> S::Resp + Send + Sync + 'static,
-{
-    let n = workload.len();
-    assert!(n > 0, "workload must cover at least one process");
-    let apply = Arc::new(apply);
-    let builder: TreeBuilder<S> = TreeBuilder::new();
-    let explorer = Explorer {
-        max_runs: cfg.max_runs,
-        mode: cfg.mode,
-        workers: cfg.workers,
-        stem: cfg.stem.clone(),
-        statics: cfg.statics.clone(),
-    };
-    let outcome = explorer.explore_with(
-        || PooledWorld::new(&factory, n),
-        |pool: &mut PooledWorld<S, O>, driver| {
-            pool.replay(workload, &apply, driver, cfg.step_budget);
-            // The materialised tree accepts any ingestion order, so one
-            // shared builder serves every worker.
-            builder.ingest(pool.pool.transcript());
-        },
-    );
-    ExploredObject {
-        tree: builder.finish(),
-        outcome,
-    }
-}
-
-/// The result of a DAG-streamed exploration: the hash-consed transcript
-/// set (what deep checks feed the memoised strong-lin checker) plus the
-/// exploration statistics.
-pub struct ExploredDag<S: SeqSpec> {
-    /// Hash-consed DAG over all explored transcripts.
-    pub dag: TreeDag<S>,
-    /// Runs, exhaustion, pruning statistics.
-    pub outcome: ExploreOutcome,
-}
-
-impl<S: SeqSpec> ExploredDag<S> {
-    /// Decides strong linearizability of the explored transcript set
-    /// with the memoised DAG checker.
-    pub fn check_strong(&self, spec: &S) -> StrongLinReport {
-        check_strongly_linearizable_dag(spec, &self.dag)
-    }
-}
-
-/// [`explore_object_dag`] with an explicit apply closure.
+/// Explores every adversary schedule of `workload` (within the budgets
+/// of `cfg`, on `cfg.workers` threads) against the object built by
+/// `factory`, with `apply` executing one operation on a handle. See the
+/// module docs for an example.
 ///
-/// In every [`PruneMode`] the transcripts stream straight into
-/// hash-consed per-subtree [`DagBuilder`] shards, each ingested in
-/// depth-first order (the prefix tree is never materialised — this is
-/// the deep-exploration entry point).
-pub fn explore_object_dag_with<S, O, F, A>(
-    factory: F,
-    workload: &[Vec<S::Op>],
-    apply: A,
-    cfg: &SimExplore,
-) -> ExploredDag<S>
-where
-    S: SeqSpec + 'static,
-    S::Op: Send + Sync,
-    S::Resp: Send + Sync,
-    S::State: Send + Sync,
-    O: SharedObject<SimMem>,
-    F: Fn(&SimMem) -> O + Sync,
-    A: Fn(&mut O::Handle, &S::Op) -> S::Resp + Send + Sync + 'static,
-{
-    let n = workload.len();
-    assert!(n > 0, "workload must cover at least one process");
-    let apply = Arc::new(apply);
-    let sink: Mutex<Vec<TreeDag<S>>> = Mutex::new(Vec::new());
-    let explorer = Explorer {
-        max_runs: cfg.max_runs,
-        mode: cfg.mode,
-        workers: cfg.workers,
-        stem: cfg.stem.clone(),
-        statics: cfg.statics.clone(),
-    };
-    // Each subtree the explorer hands a worker streams its DFS-ordered
-    // transcripts into its own shard; [`TreeDag::merge`] unions the
-    // finished shards after exploration.
-    let outcome = explorer.explore_with(
-        || Sharded {
-            inner: PooledWorld::new(&factory, n),
-            shards: DagShards::new(&sink),
-        },
-        |ctx: &mut Sharded<'_, S, PooledWorld<S, O>>, driver| {
-            ctx.inner.replay(workload, &apply, driver, cfg.step_budget);
-            ctx.shards.ingest(ctx.inner.pool.transcript());
-        },
-    );
-    ExploredDag {
-        dag: TreeDag::merge(sink.into_inner().unwrap()),
-        outcome,
-    }
-}
-
-/// [`explore_object_dag`] with crash-resilient checkpointing: the
+/// With `resume: Some(session)` the exploration is crash-resilient: the
 /// explorer periodically snapshots its outstanding-task frontier into
 /// `session.store` and, when a checkpoint already exists there, resumes
 /// from it instead of starting over. The union of an interrupted run's
 /// DAG and the resumed run's DAG is bit-identical (structural hash,
 /// verdict, conflict depth) to the uninterrupted exploration at any
 /// worker count — see `crates/api/tests/resume_dag.rs` for the gate.
-///
-/// The live shard hashes are recorded into every checkpoint as sorted
-/// audit metadata, but resume validation deliberately passes
-/// `expected_shards = None` on top of whatever the caller set: the
-/// drain checkpoint is written inside the root's subtree bracket while
-/// shards flush at `subtree_end`, so the drain-time recorded hashes
-/// lag the post-drain on-disk DAG by design. The end-to-end identity
-/// gate is the merged-union structural hash, not per-shard equality.
-///
-/// Fail-closed: panics (like [`Explorer::explore_resumable`]) on any
-/// torn, stale, or doctored checkpoint, and on a checkpoint taken under
-/// a different `cfg.mode` or worker count.
-pub fn explore_object_dag_resumable<S, O, F>(
-    factory: F,
-    workload: &[Vec<S::Op>],
-    cfg: &SimExplore,
-    session: &ResumeSession<'_>,
-) -> ExploredDag<S>
-where
-    S: SeqSpec + 'static,
-    S::Op: Send + Sync,
-    S::Resp: Send + Sync,
-    S::State: Send + Sync,
-    O: SharedObject<SimMem>,
-    O::Handle: DriveOps<S>,
-    F: Fn(&SimMem) -> O + Sync,
-{
-    explore_object_dag_resumable_with(
-        factory,
-        workload,
-        |h: &mut O::Handle, op: &S::Op| h.drive(op),
-        cfg,
-        session,
-    )
-}
-
-/// [`explore_object_dag_resumable`] with an explicit apply closure.
-pub fn explore_object_dag_resumable_with<S, O, F, A>(
+/// Checkpoints record the sorted hashes of the shards flushed so far as
+/// audit metadata, but resume validation always runs with
+/// `expected_shards = None`: the drain checkpoint is written inside the
+/// root's subtree bracket while shards flush at `subtree_end`, so the
+/// drain-time hashes lag the post-drain on-disk DAG by design. The
+/// identity gate is the merged-union structural hash, not per-shard
+/// equality. Fail-closed: panics (like [`Explorer::explore_resumable`])
+/// on any torn, stale, or doctored checkpoint, and on a checkpoint taken
+/// under a different `cfg.mode` or worker count.
+pub fn explore_object<S, O, F, A>(
     factory: F,
     workload: &[Vec<S::Op>],
     apply: A,
     cfg: &SimExplore,
-    session: &ResumeSession<'_>,
-) -> ExploredDag<S>
+    resume: Option<&ResumeSession<'_>>,
+) -> Explored<S>
 where
     S: SeqSpec + 'static,
     S::Op: Send + Sync,
@@ -509,43 +400,29 @@ where
     F: Fn(&SimMem) -> O + Sync,
     A: Fn(&mut O::Handle, &S::Op) -> S::Resp + Send + Sync + 'static,
 {
-    let n = workload.len();
-    assert!(n > 0, "workload must cover at least one process");
-    let apply = Arc::new(apply);
-    let sink: Mutex<Vec<TreeDag<S>>> = Mutex::new(Vec::new());
-    let explorer = Explorer {
-        max_runs: cfg.max_runs,
-        mode: cfg.mode,
-        workers: cfg.workers,
-        stem: cfg.stem.clone(),
-        statics: cfg.statics.clone(),
+    let run = ObjectRun::new(factory, workload, apply, cfg.step_budget);
+    let sink = Mutex::new(Vec::new());
+    let new_ctx = || run.ctx(&sink);
+    let replay =
+        |ctx: &mut ObjectCtx<'_, S, O>, driver: &mut ScheduleDriver| run.replay(ctx, driver);
+    let outcome = match resume {
+        None => cfg.explorer().explore_with(new_ctx, replay),
+        Some(session) => {
+            let shard_snapshot = || TreeDag::shard_hashes(&sink.lock().expect(POISONED));
+            let session = ResumeSession {
+                store: session.store,
+                policy: session.policy.clone(),
+                fault: session.fault.clone(),
+                expected_shards: None,
+                shard_hashes: Some(&shard_snapshot),
+            };
+            cfg.explorer().explore_resumable(new_ctx, replay, &session)
+        }
     };
-    // Checkpoints record the hashes of the shards flushed so far —
-    // sorted, so the snapshot is stable under worker scheduling.
-    let shard_snapshot = || TreeDag::shard_hashes(&sink.lock().unwrap());
-    let session = ResumeSession {
-        store: session.store,
-        policy: session.policy.clone(),
-        fault: session.fault.clone(),
-        // See the doc comment: drain-time recorded hashes lag the
-        // post-drain flush, so per-shard expectations cannot hold here.
-        expected_shards: None,
-        shard_hashes: Some(&shard_snapshot),
-    };
-    let outcome = explorer.explore_resumable(
-        || Sharded {
-            inner: PooledWorld::new(&factory, n),
-            shards: DagShards::new(&sink),
-        },
-        |ctx: &mut Sharded<'_, S, PooledWorld<S, O>>, driver| {
-            ctx.inner.replay(workload, &apply, driver, cfg.step_budget);
-            ctx.shards.ingest(ctx.inner.pool.transcript());
-        },
-        &session,
-    );
-    ExploredDag {
-        dag: TreeDag::merge(sink.into_inner().unwrap()),
+    Explored {
+        dag: TreeDag::merge(sink.into_inner().expect(POISONED)),
         outcome,
+        fleet: None,
     }
 }
 
@@ -572,52 +449,34 @@ pub struct DistTelemetry {
     pub degraded: bool,
 }
 
-/// The result of a distributed exploration: the merged DAG (local +
-/// remote shards, one symbolized label space), the exploration
-/// statistics, and the fleet telemetry.
-pub struct ExploredDistDag<S: SeqSpec> {
-    /// Hash-consed DAG over all explored transcripts, **symbolized**
-    /// (compare its structural hash against a sequential run's
-    /// `dag.symbolize()`).
-    pub dag: TreeDag<S>,
-    /// Runs, exhaustion, pruning statistics — bit-identical to the
-    /// sequential outcome at any worker-process count.
-    pub outcome: ExploreOutcome,
-    /// Coordinator counters.
-    pub fleet: DistTelemetry,
-}
-
-impl<S: SeqSpec> ExploredDistDag<S> {
-    /// Decides strong linearizability of the explored transcript set
-    /// with the memoised DAG checker.
-    pub fn check_strong(&self, spec: &S) -> StrongLinReport {
-        check_strongly_linearizable_dag(spec, &self.dag)
-    }
-}
-
-/// [`explore_object_dag_with`], with subtree tasks farmed to a fleet of
-/// worker *processes* (see [`sl_dist`]): the explorer's worker threads
-/// offer every frozen subtree to the lease-based coordinator, which
-/// either returns the subtree's result from a worker process or
-/// declines (fleet busy, or degraded after a spawn failure), in which
-/// case the subtree runs in-process. Either way the merged run is
-/// bit-identical to the sequential one — same verdict, conflict depth,
-/// counters, and merged-DAG structural hash — or honestly `partial`
-/// through the quarantine path. Never a false PASS.
+/// [`explore_object`], with subtree tasks farmed to a fleet of worker
+/// *processes* (see [`sl_dist`]): the explorer's worker threads offer
+/// every frozen subtree to the lease-based coordinator, which either
+/// returns the subtree's result from a worker process or declines
+/// (fleet busy, or degraded after a spawn failure), in which case the
+/// subtree runs in-process. Either way the merged run is bit-identical
+/// to the in-process one — same verdict, conflict depth, counters, and
+/// merged-DAG structural hash — or honestly `partial` through the
+/// quarantine path. Never a false PASS.
+///
+/// A separate function rather than an option of [`explore_object`]
+/// because shards cross the process boundary on the wire, which needs
+/// `S: WireSpec`; one generic entry point would forbid every spec
+/// without a codec.
 ///
 /// `workload_name` pins the fleet's identity: the worker binary (see
 /// [`serve_object_worker`]) must `hello` with the same name and prune
 /// mode or the coordinator refuses it fail-closed. The explorer always
 /// runs with at least two threads — subtree tasks are only published
 /// when there is someone to share them with.
-pub fn explore_object_dag_distributed<S, O, F, A>(
+pub fn explore_object_distributed<S, O, F, A>(
     factory: F,
     workload: &[Vec<S::Op>],
     apply: A,
     cfg: &SimExplore,
     fleet: FleetConfig,
     workload_name: &str,
-) -> ExploredDistDag<S>
+) -> Explored<S>
 where
     S: WireSpec + 'static,
     S::Op: Send + Sync,
@@ -627,30 +486,19 @@ where
     F: Fn(&SimMem) -> O + Sync,
     A: Fn(&mut O::Handle, &S::Op) -> S::Resp + Send + Sync + 'static,
 {
-    let n = workload.len();
-    assert!(n > 0, "workload must cover at least one process");
-    let apply = Arc::new(apply);
-    let local_sink: Mutex<Vec<TreeDag<S>>> = Mutex::new(Vec::new());
-    let remote_sink: Mutex<Vec<TreeDag<S>>> = Mutex::new(Vec::new());
+    let run = ObjectRun::new(factory, workload, apply, cfg.step_budget);
+    let local_sink = Mutex::new(Vec::new());
+    let remote_sink = Mutex::new(Vec::new());
     let coordinator = DistCoordinator::new(fleet, workload_name, cfg.mode.name(), &remote_sink);
     let explorer = Explorer {
-        max_runs: cfg.max_runs,
-        mode: cfg.mode,
         // Tasks are only frozen for sharing when a sibling thread could
         // steal them; a single-threaded explorer would never dispatch.
         workers: cfg.workers.max(2),
-        stem: cfg.stem.clone(),
-        statics: cfg.statics.clone(),
+        ..cfg.explorer()
     };
     let outcome = explorer.explore_dispatched(
-        || Sharded {
-            inner: PooledWorld::new(&factory, n),
-            shards: DagShards::new(&local_sink),
-        },
-        |ctx: &mut Sharded<'_, S, PooledWorld<S, O>>, driver| {
-            ctx.inner.replay(workload, &apply, driver, cfg.step_budget);
-            ctx.shards.ingest(ctx.inner.pool.transcript());
-        },
+        || run.ctx(&local_sink),
+        |ctx, driver| run.replay(ctx, driver),
         &coordinator,
     );
     coordinator.finish();
@@ -669,22 +517,22 @@ where
                        // across the process boundary — one label space for the whole DAG.
     let shards: Vec<TreeDag<S>> = local_sink
         .into_inner()
-        .unwrap()
+        .expect(POISONED)
         .into_iter()
         .map(|d| d.symbolize())
-        .chain(remote_sink.into_inner().unwrap())
+        .chain(remote_sink.into_inner().expect(POISONED))
         .collect();
-    ExploredDistDag {
+    Explored {
         dag: TreeDag::merge(shards),
         outcome,
-        fleet,
+        fleet: Some(fleet),
     }
 }
 
-/// The worker-process half of [`explore_object_dag_distributed`]: a
-/// serve loop a worker `main` calls with the *same* factory, workload,
-/// apply closure, and exploration config the coordinator uses. Each
-/// leased task is thawed and explored in-process; the reply carries the
+/// The worker-process half of [`explore_object_distributed`]: a serve
+/// loop a worker `main` calls with the *same* factory, workload, apply
+/// closure, and exploration config the coordinator uses. Each leased
+/// task is thawed and explored in-process; the reply carries the
 /// subtree's counters plus its symbolized DAG shard.
 pub fn serve_object_worker<S, O, F, A>(
     workload_name: &str,
@@ -702,81 +550,18 @@ where
     F: Fn(&SimMem) -> O + Sync,
     A: Fn(&mut O::Handle, &S::Op) -> S::Resp + Send + Sync + 'static,
 {
-    let n = workload.len();
-    assert!(n > 0, "workload must cover at least one process");
-    let apply = Arc::new(apply);
-    let explorer = Explorer {
-        max_runs: cfg.max_runs,
-        mode: cfg.mode,
-        workers: cfg.workers,
-        stem: cfg.stem.clone(),
-        statics: cfg.statics.clone(),
-    };
+    let run = ObjectRun::new(factory, workload, apply, cfg.step_budget);
+    let explorer = cfg.explorer();
     sl_dist::serve::<S, _>(workload_name, cfg.mode.name(), |task| {
-        let sink: Mutex<Vec<TreeDag<S>>> = Mutex::new(Vec::new());
+        let sink = Mutex::new(Vec::new());
         let result = explorer.explore_frozen_task(
-            || Sharded {
-                inner: PooledWorld::new(&factory, n),
-                shards: DagShards::new(&sink),
-            },
-            |ctx: &mut Sharded<'_, S, PooledWorld<S, O>>, driver| {
-                ctx.inner.replay(workload, &apply, driver, cfg.step_budget);
-                ctx.shards.ingest(ctx.inner.pool.transcript());
-            },
+            || run.ctx(&sink),
+            |ctx, driver| run.replay(ctx, driver),
             task,
         );
-        let dag = TreeDag::merge(sink.into_inner().unwrap()).symbolize();
-        (result, dag)
+        (
+            result,
+            TreeDag::merge(sink.into_inner().expect(POISONED)).symbolize(),
+        )
     })
-}
-
-/// Explores every adversary schedule of `workload` (within the budgets)
-/// against the object built by `factory`, streaming transcripts into a
-/// hash-consed [`TreeDag`] — the entry point for deep exhaustive
-/// checks, where the materialised prefix tree would not fit in memory.
-pub fn explore_object_dag<S, O, F>(
-    factory: F,
-    workload: &[Vec<S::Op>],
-    cfg: &SimExplore,
-) -> ExploredDag<S>
-where
-    S: SeqSpec + 'static,
-    S::Op: Send + Sync,
-    S::Resp: Send + Sync,
-    S::State: Send + Sync,
-    O: SharedObject<SimMem>,
-    O::Handle: DriveOps<S>,
-    F: Fn(&SimMem) -> O + Sync,
-{
-    explore_object_dag_with(
-        factory,
-        workload,
-        |h: &mut O::Handle, op: &S::Op| h.drive(op),
-        cfg,
-    )
-}
-
-/// Explores every adversary schedule of `workload` (within the
-/// budgets) against the object built by `factory`, streaming the
-/// transcripts into a prefix tree. See the module docs for an example.
-pub fn explore_object<S, O, F>(
-    factory: F,
-    workload: &[Vec<S::Op>],
-    cfg: &SimExplore,
-) -> ExploredObject<S>
-where
-    S: SeqSpec + 'static,
-    S::Op: Send + Sync,
-    S::Resp: Send + Sync,
-    S::State: Send + Sync,
-    O: SharedObject<SimMem>,
-    O::Handle: DriveOps<S>,
-    F: Fn(&SimMem) -> O + Sync,
-{
-    explore_object_with(
-        factory,
-        workload,
-        |h: &mut O::Handle, op: &S::Op| h.drive(op),
-        cfg,
-    )
 }

@@ -7,7 +7,7 @@
 //! shards overlap on abandoned subtrees; hash-consing in
 //! [`TreeDag::merge`] dedupes the overlap, so the union is exact.
 
-use sl_api::sim::{explore_object_dag, explore_object_dag_resumable, SimExplore};
+use sl_api::sim::{explore_object, DriveOps as _, SimExplore};
 use sl_api::ObjectBuilder;
 use sl_check::{check_strongly_linearizable_dag, TreeDag};
 use sl_sim::{CheckpointPolicy, CheckpointStore, PruneMode, ResumeSession};
@@ -38,7 +38,8 @@ fn interrupted_dag_exploration_unions_to_the_uninterrupted_result() {
             workers,
             ..SimExplore::default()
         };
-        let reference = explore_object_dag::<ASpec, _, _>(factory, &workload, &cfg);
+        let reference =
+            explore_object::<ASpec, _, _, _>(factory, &workload, |h, op| h.drive(op), &cfg, None);
         assert!(reference.outcome.exhausted, "{workers} workers");
         let ref_report = reference.check_strong(&spec);
 
@@ -63,8 +64,13 @@ fn interrupted_dag_exploration_unions_to_the_uninterrupted_result() {
                 },
                 ..ResumeSession::new(&store)
             };
-            let round =
-                explore_object_dag_resumable::<ASpec, _, _>(factory, &workload, &cfg, &session);
+            let round = explore_object::<ASpec, _, _, _>(
+                factory,
+                &workload,
+                |h, op| h.drive(op),
+                &cfg,
+                Some(&session),
+            );
             let drained = round.outcome.drained;
             shards.push(round.dag);
             if !drained {

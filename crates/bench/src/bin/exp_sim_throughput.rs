@@ -114,7 +114,7 @@ use std::time::Instant;
 
 use sl_sim::StaticConflicts;
 
-use sl_api::sim::{explore_object_dag_distributed, explore_object_dag_with, DriveOps as _};
+use sl_api::sim::{explore_object, explore_object_distributed, DriveOps as _};
 use sl_api::ObjectBuilder;
 use sl_bench::workloads::{aba_programs, dist_config, dist_ops, mixed3_programs, PooledAba};
 use sl_bench::{baseline, print_table, Baseline, Gate};
@@ -1643,11 +1643,12 @@ fn measure_distributed(procs: usize, bin: &str) -> (f64, f64, f64) {
     let n = ops.len();
     let cfg = dist_config(mode, 1);
     let start = Instant::now();
-    let seq = explore_object_dag_with::<ASpec, _, _, _>(
+    let seq = explore_object::<ASpec, _, _, _>(
         |mem| ObjectBuilder::on(mem).processes(n).aba_register::<u64>(),
         &ops,
         |h, op| h.drive(op),
         &cfg,
+        None,
     );
     let seq_s = start.elapsed().as_secs_f64();
     let fleet = FleetConfig {
@@ -1663,7 +1664,7 @@ fn measure_distributed(procs: usize, bin: &str) -> (f64, f64, f64) {
     };
     let dcfg = dist_config(mode, procs.max(2));
     let start = Instant::now();
-    let dist = explore_object_dag_distributed::<ASpec, _, _, _>(
+    let dist = explore_object_distributed::<ASpec, _, _, _>(
         |mem| ObjectBuilder::on(mem).processes(n).aba_register::<u64>(),
         &ops,
         |h, op| h.drive(op),
@@ -1672,14 +1673,14 @@ fn measure_distributed(procs: usize, bin: &str) -> (f64, f64, f64) {
         workload,
     );
     let dist_s = start.elapsed().as_secs_f64();
+    let fleet = dist
+        .fleet
+        .expect("a distributed run reports fleet counters");
     assert!(
-        !dist.fleet.degraded,
+        !fleet.degraded,
         "fleet degraded: worker binary {bin} unusable"
     );
-    assert!(
-        dist.fleet.completed > 0,
-        "the distributed path never engaged"
-    );
+    assert!(fleet.completed > 0, "the distributed path never engaged");
     assert_eq!(
         (seq.outcome.runs, seq.outcome.cut_runs, seq.outcome.pruned),
         (

@@ -2,101 +2,92 @@
 //!
 //! Exhaustively (or budget-bounded) explores the schedules of small
 //! Algorithm-3 workloads and model-checks strong linearizability over
-//! the prefix tree of recorded transcripts, in two configurations:
+//! the hash-consed DAG of recorded transcripts, in two configurations:
 //! atomic `R` (the paper's Algorithm 3 as stated) and the composed
 //! register-only `R` (Algorithm 2, by composability — Theorem 2).
+//! Exits non-zero if a configuration does not hold.
 
-use std::sync::Mutex;
-
-use sl_api::{ObjectBuilder, SharedObject, SnapshotOps};
+use sl_api::sim::{explore_object, DriveOps, SimExplore};
+use sl_api::{ObjectBuilder, SharedObject};
 use sl_bench::print_table;
-use sl_check::{check_strongly_linearizable, HistoryTree, TreeStep};
-use sl_sim::{EventLog, Explorer, Program, PruneMode, SimMem, SimWorld};
+use sl_sim::{PruneMode, SimMem};
 use sl_spec::types::SnapshotSpec;
-use sl_spec::{ProcId, SnapshotOp, SnapshotResp};
+use sl_spec::SnapshotOp;
 
 type Spec = SnapshotSpec<u64>;
 
-fn workload<O>(obj: &O, log: &EventLog<Spec>, updaters: usize, scanners: usize) -> Vec<Program>
-where
-    O: SharedObject<SimMem>,
-    O::Handle: SnapshotOps<u64> + 'static,
-{
-    let mut programs: Vec<Program> = Vec::new();
-    for pid in 0..(updaters + scanners) {
-        let mut h = obj.handle(ProcId(pid));
-        let log = log.clone();
-        let is_updater = pid < updaters;
-        programs.push(Box::new(move |ctx| {
-            ctx.pause();
-            if is_updater {
-                let id = log.invoke(ctx.proc_id(), SnapshotOp::Update(pid as u64 + 1));
-                h.update(pid as u64 + 1);
-                log.respond(id, SnapshotResp::Ack);
-            } else {
-                let id = log.invoke(ctx.proc_id(), SnapshotOp::Scan);
-                let v = h.scan();
-                log.respond(id, SnapshotResp::View(v.into_vec()));
-            }
-        }));
-    }
-    programs
-}
-
-fn check_config(
+/// Explores `updaters` single-update and `scanners` single-scan
+/// processes on the snapshot `make` builds; returns the table row and
+/// whether the configuration holds.
+fn check_config<O, F>(
     label: &str,
-    composed_r: bool,
+    make: F,
     updaters: usize,
     scanners: usize,
     max_runs: usize,
-) -> Vec<String> {
+) -> (Vec<String>, bool)
+where
+    O: SharedObject<SimMem>,
+    O::Handle: DriveOps<Spec>,
+    F: Fn(&SimMem, usize) -> O + Sync,
+{
     let n = updaters + scanners;
-    let transcripts: Mutex<Vec<Vec<TreeStep<Spec>>>> = Mutex::new(Vec::new());
-    let explorer = Explorer {
+    let workload: Vec<Vec<SnapshotOp<u64>>> = (0..n)
+        .map(|pid| {
+            if pid < updaters {
+                vec![SnapshotOp::Update(pid as u64 + 1)]
+            } else {
+                vec![SnapshotOp::Scan]
+            }
+        })
+        .collect();
+    let cfg = SimExplore {
         max_runs,
         mode: PruneMode::Unpruned,
-        ..Explorer::default()
+        workers: 1,
+        step_budget: 2_000,
+        ..SimExplore::default()
     };
-    let explored = explorer.explore(|driver| {
-        let world = SimWorld::new(n);
-        let mem = world.mem();
-        let log: EventLog<Spec> = EventLog::new(&world);
-        let builder = ObjectBuilder::on(&mem).processes(n);
-        let programs = if composed_r {
-            let snap = builder.snapshot::<u64>();
-            workload(&snap, &log, updaters, scanners)
-        } else {
-            let snap = builder.atomic_r().snapshot::<u64>();
-            workload(&snap, &log, updaters, scanners)
-        };
-        let outcome = world.run(programs, driver, 2_000);
-        transcripts.lock().unwrap().push(log.transcript(&outcome));
-        outcome
-    });
-    let tree = HistoryTree::from_transcripts(&transcripts.into_inner().unwrap());
-    let report = check_strongly_linearizable(&Spec::new(n), &tree);
-    vec![
+    let explored = explore_object::<Spec, _, _, _>(
+        |mem| make(mem, n),
+        &workload,
+        |h, op| h.drive(op),
+        &cfg,
+        None,
+    );
+    let report = explored.check_strong(&Spec::new(n));
+    let row = vec![
         label.to_string(),
-        explored.runs.to_string(),
-        explored.exhausted.to_string(),
+        explored.outcome.runs.to_string(),
+        explored.outcome.exhausted.to_string(),
         report.holds.to_string(),
         report.states_explored.to_string(),
-    ]
+    ];
+    (row, report.holds)
 }
 
 fn main() {
     println!("# E6 — Theorem 25: bounded exhaustive strong-linearizability checks\n");
-    let rows = vec![
-        check_config("atomic R: 1 SLupdate + 1 SLscan", false, 1, 1, 20_000),
-        check_config("atomic R: 2 SLupdates + 1 SLscan", false, 2, 1, 6_000),
+    let atomic_r = |mem: &SimMem, n| {
+        ObjectBuilder::on(mem)
+            .processes(n)
+            .atomic_r()
+            .snapshot::<u64>()
+    };
+    let composed_r = |mem: &SimMem, n| ObjectBuilder::on(mem).processes(n).snapshot::<u64>();
+    let checks = [
+        check_config("atomic R: 1 SLupdate + 1 SLscan", atomic_r, 1, 1, 20_000),
+        check_config("atomic R: 2 SLupdates + 1 SLscan", atomic_r, 2, 1, 6_000),
         check_config(
             "composed R (Thm 2): 1 SLupdate + 1 SLscan",
-            true,
+            composed_r,
             1,
             1,
             6_000,
         ),
     ];
+    let all_hold = checks.iter().all(|(_, holds)| *holds);
+    let rows: Vec<Vec<String>> = checks.into_iter().map(|(row, _)| row).collect();
     print_table(
         &[
             "configuration",
@@ -112,4 +103,8 @@ fn main() {
          configuration also exercises the composability argument of §4.3). \
          Non-exhausted rows are budget-bounded prefix checks."
     );
+    if !all_hold {
+        eprintln!("exp_strong_snapshot: a configuration the paper expects to hold does not");
+        std::process::exit(1);
+    }
 }

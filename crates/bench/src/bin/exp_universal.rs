@@ -4,51 +4,55 @@
 //! For each example simple type: random-schedule linearizability checks,
 //! plus bounded exhaustive strong-linearizability model checking of a
 //! 2-process workload over (a) an atomic root (Theorem 54) and (b) the
-//! paper's strongly linearizable snapshot as root (Theorem 3).
+//! paper's strongly linearizable snapshot as root (Theorem 3). Exits
+//! non-zero if a row the paper expects to hold does not.
 
-use std::sync::Mutex;
+use std::sync::Arc;
 
-use sl_api::ObjectBuilder;
+use sl_api::sim::{explore_object, run_object_schedule_with, SimExplore};
+use sl_api::{ObjectBuilder, UniversalOps};
 use sl_bench::print_table;
-use sl_check::{check_linearizable, check_strongly_linearizable, HistoryTree};
-use sl_core::SnapshotObject;
-use sl_sim::{EventLog, Explorer, Program, PruneMode, SeededRandom, SimWorld};
-use sl_spec::{CounterOp, GrowSetOp, MaxRegisterOp, ProcId};
+use sl_check::check_linearizable;
+use sl_sim::{PruneMode, SeededRandom, SimMem};
+use sl_spec::{CounterOp, GrowSetOp, MaxRegisterOp};
 use sl_universal::types::{CounterType, GrowSetType, MaxRegisterType, RegOp, RegisterType};
 use sl_universal::{NodeRef, SimpleSpec, SimpleType, Universal};
+
+/// The apply closure of every run here: executes one simple-type
+/// invocation on a universal-construction handle.
+fn execute<T: SimpleType, H: UniversalOps<T>>(h: &mut H, op: &T::Op) -> T::Resp {
+    h.execute(op.clone())
+}
+
+/// The construction over an atomic root snapshot (Theorem 54).
+fn atomic_root<T: SimpleType>(
+    ty: &T,
+    n: usize,
+) -> impl Fn(&SimMem) -> Universal<T, sl_core::AtomicSnapshot<NodeRef<T>, SimMem>> + Sync + '_ {
+    move |mem| {
+        let root = ObjectBuilder::on(mem)
+            .processes(n)
+            .atomic_snapshot::<NodeRef<T>>();
+        Universal::new(ty.clone(), root, n)
+    }
+}
 
 /// Random-schedule linearizability across `seeds` runs; returns the
 /// number of histories checked (panics on a violation).
 fn lin_random<T: SimpleType>(ty: T, ops: Vec<Vec<T::Op>>, seeds: u64) -> u64 {
-    let n = ops.len();
+    let factory = atomic_root(&ty, ops.len());
+    let apply = Arc::new(execute::<T, _>);
     for seed in 0..seeds {
-        let world = SimWorld::new(n);
-        let mem = world.mem();
-        let root = ObjectBuilder::on(&mem)
-            .processes(n)
-            .atomic_snapshot::<NodeRef<T>>();
-        let obj = Universal::new(ty.clone(), root, n);
-        let log: EventLog<SimpleSpec<T>> = EventLog::new(&world);
-        let mut programs: Vec<Program> = Vec::new();
-        for (pid, my_ops) in ops.iter().enumerate() {
-            let mut h = obj.handle(ProcId(pid));
-            let log = log.clone();
-            let my_ops = my_ops.clone();
-            programs.push(Box::new(move |ctx| {
-                for op in my_ops {
-                    ctx.pause();
-                    let id = log.invoke(ctx.proc_id(), op.clone());
-                    let resp = h.execute(op);
-                    log.respond(id, resp);
-                }
-            }));
-        }
-        let mut sched = SeededRandom::new(seed);
-        let outcome = world.run(programs, &mut sched, 1_000_000);
-        assert!(outcome.completed);
-        let h = log.history();
+        let run = run_object_schedule_with::<SimpleSpec<T>, _, _, _>(
+            &factory,
+            &ops,
+            &apply,
+            &mut SeededRandom::new(seed),
+            1_000_000,
+        );
+        assert!(run.outcome.completed);
         assert!(
-            check_linearizable(&SimpleSpec(ty.clone()), &h).is_some(),
+            check_linearizable(&SimpleSpec(ty.clone()), &run.history).is_some(),
             "non-linearizable history (seed {seed})"
         );
     }
@@ -64,54 +68,22 @@ fn strong_bounded<T: SimpleType>(
     sl_root: bool,
     max_runs: usize,
 ) -> (usize, bool, bool) {
-    let transcripts = Mutex::new(Vec::new());
-    let explorer = Explorer {
+    let workload = [vec![op0], vec![op1]];
+    let cfg = SimExplore {
         max_runs,
         mode: PruneMode::Unpruned,
-        ..Explorer::default()
+        workers: 1,
+        step_budget: 2_000,
+        ..SimExplore::default()
     };
-    let explored = explorer.explore(|driver| {
-        let world = SimWorld::new(2);
-        let mem = world.mem();
-        let log: EventLog<SimpleSpec<T>> = EventLog::new(&world);
-        let builder = ObjectBuilder::on(&mem).processes(2);
-        let programs: Vec<Program> = if sl_root {
-            let obj = builder.universal(ty.clone());
-            mk_programs(&obj, &log, op0.clone(), op1.clone())
-        } else {
-            let root = builder.atomic_snapshot::<NodeRef<T>>();
-            let obj = Universal::new(ty.clone(), root, 2);
-            mk_programs(&obj, &log, op0.clone(), op1.clone())
-        };
-        let outcome = world.run(programs, driver, 2_000);
-        transcripts.lock().unwrap().push(log.transcript(&outcome));
-        outcome
-    });
-    let tree = HistoryTree::from_transcripts(&transcripts.into_inner().unwrap());
-    let report = check_strongly_linearizable(&SimpleSpec(ty), &tree);
-    (explored.runs, explored.exhausted, report.holds)
-}
-
-fn mk_programs<T: SimpleType, O: SnapshotObject<NodeRef<T>>>(
-    obj: &Universal<T, O>,
-    log: &EventLog<SimpleSpec<T>>,
-    op0: T::Op,
-    op1: T::Op,
-) -> Vec<Program> {
-    [op0, op1]
-        .into_iter()
-        .enumerate()
-        .map(|(pid, op)| {
-            let mut h = obj.handle(ProcId(pid));
-            let log = log.clone();
-            Box::new(move |ctx: sl_sim::ProcCtx| {
-                ctx.pause();
-                let id = log.invoke(ctx.proc_id(), op.clone());
-                let resp = h.execute(op);
-                log.respond(id, resp);
-            }) as Program
-        })
-        .collect()
+    let explored = if sl_root {
+        let factory = |mem: &SimMem| ObjectBuilder::on(mem).processes(2).universal(ty.clone());
+        explore_object(factory, &workload, execute::<T, _>, &cfg, None)
+    } else {
+        explore_object(atomic_root(&ty, 2), &workload, execute::<T, _>, &cfg, None)
+    };
+    let holds = explored.check_strong(&SimpleSpec(ty)).holds;
+    (explored.outcome.runs, explored.outcome.exhausted, holds)
 }
 
 fn main() {
@@ -167,6 +139,7 @@ fn main() {
 
     println!("\n## Bounded exhaustive strong-linearizability (2 processes)\n");
     let mut rows = Vec::new();
+    let mut all_hold = true;
     for (label, sl_root, max_runs) in [
         ("counter, atomic root (Thm 54)", false, 20_000),
         ("counter, SL-snapshot root (Thm 3)", true, 4_000),
@@ -178,6 +151,7 @@ fn main() {
             sl_root,
             max_runs,
         );
+        all_hold &= holds;
         rows.push(vec![
             label.to_string(),
             runs.to_string(),
@@ -188,6 +162,7 @@ fn main() {
     {
         let (label, op0, op1) = ("register, atomic root", RegOp::Write(1), RegOp::Read);
         let (runs, exhausted, holds) = strong_bounded(RegisterType, op0, op1, false, 20_000);
+        all_hold &= holds;
         rows.push(vec![
             label.to_string(),
             runs.to_string(),
@@ -209,4 +184,8 @@ fn main() {
          end-to-end Theorem 3 stack: simple type over Algorithm 3 over \
          Algorithm 2 over plain registers."
     );
+    if !all_hold {
+        eprintln!("exp_universal: a row the paper expects to hold does not");
+        std::process::exit(1);
+    }
 }

@@ -13,8 +13,7 @@
 use std::time::Duration;
 
 use sl_api::sim::{
-    explore_object_dag_distributed, explore_object_dag_with, DriveOps as _, ExploredDag,
-    ExploredDistDag,
+    explore_object, explore_object_distributed, DistTelemetry, DriveOps as _, Explored,
 };
 use sl_api::ObjectBuilder;
 use sl_bench::workloads::{dist_config, dist_ops, ASpec};
@@ -71,11 +70,12 @@ fn sequential(workload: &str, mode: PruneMode) -> SeqRef {
     let ops = dist_ops(workload).unwrap();
     let n = ops.len();
     let cfg = dist_config(mode, 1);
-    let seq: ExploredDag<ASpec> = explore_object_dag_with::<ASpec, _, _, _>(
+    let seq: Explored<ASpec> = explore_object::<ASpec, _, _, _>(
         |mem| ObjectBuilder::on(mem).processes(n).aba_register::<u64>(),
         &ops,
         |h, op| h.drive(op),
         &cfg,
+        None,
     );
     let verdict = seq.check_strong(&AbaSpec::<u64>::new(n));
     SeqRef {
@@ -89,23 +89,33 @@ fn sequential(workload: &str, mode: PruneMode) -> SeqRef {
     }
 }
 
-fn distributed(workload: &str, mode: PruneMode, fleet: FleetConfig) -> ExploredDistDag<ASpec> {
+/// A distributed run and its fleet counters.
+fn distributed(
+    workload: &str,
+    mode: PruneMode,
+    fleet: FleetConfig,
+) -> (Explored<ASpec>, DistTelemetry) {
     let ops = dist_ops(workload).unwrap();
     let n = ops.len();
     let cfg = dist_config(mode, fleet.workers.max(2));
-    explore_object_dag_distributed::<ASpec, _, _, _>(
+    let mut dist = explore_object_distributed::<ASpec, _, _, _>(
         |mem| ObjectBuilder::on(mem).processes(n).aba_register::<u64>(),
         &ops,
         |h, op| h.drive(op),
         &cfg,
         fleet,
         workload,
-    )
+    );
+    let fleet = dist
+        .fleet
+        .take()
+        .expect("a distributed run reports fleet counters");
+    (dist, fleet)
 }
 
 /// The full bit-identity gate: counters, verdict, conflict depth, and
 /// merged-DAG structural hash all equal to the sequential run's.
-fn assert_bit_identical(workload: &str, seq: &SeqRef, dist: &ExploredDistDag<ASpec>) {
+fn assert_bit_identical(workload: &str, seq: &SeqRef, dist: &Explored<ASpec>) {
     let n = dist_ops(workload).unwrap().len();
     assert_eq!(
         (seq.runs, seq.cut_runs, seq.pruned, seq.exhausted),
@@ -136,17 +146,14 @@ fn distributed_runs_are_bit_identical_at_any_fleet_size() {
     let mode = PruneMode::SourceDpor;
     let seq = sequential(workload, mode);
     for procs in [2usize, 4, 8] {
-        let dist = distributed(workload, mode, patient_fleet(workload, mode, procs));
+        let (dist, fleet) = distributed(workload, mode, patient_fleet(workload, mode, procs));
         assert_bit_identical(workload, &seq, &dist);
-        assert!(!dist.fleet.degraded, "{procs} procs: fleet degraded");
+        assert!(!fleet.degraded, "{procs} procs: fleet degraded");
         assert!(
-            dist.fleet.completed > 0,
+            fleet.completed > 0,
             "{procs} procs: no task ever completed out of process — the distributed path never engaged"
         );
-        assert_eq!(
-            dist.fleet.quarantined, 0,
-            "{procs} procs: unexpected quarantine"
-        );
+        assert_eq!(fleet.quarantined, 0, "{procs} procs: unexpected quarantine");
     }
 }
 
@@ -155,9 +162,9 @@ fn deep_workload_is_bit_identical_under_optimal_dpor() {
     let workload = "aba_mixed3_deep";
     let mode = PruneMode::OptimalDpor;
     let seq = sequential(workload, mode);
-    let dist = distributed(workload, mode, patient_fleet(workload, mode, 4));
+    let (dist, fleet) = distributed(workload, mode, patient_fleet(workload, mode, 4));
     assert_bit_identical(workload, &seq, &dist);
-    assert!(dist.fleet.completed > 0, "distributed path never engaged");
+    assert!(fleet.completed > 0, "distributed path never engaged");
 }
 
 #[test]
@@ -169,18 +176,15 @@ fn sigkill_mid_lease_fails_over_bit_identically() {
         kill_nth_dispatch: Some(1),
         ..patient_fleet(workload, mode, 2)
     };
-    let dist = distributed(workload, mode, fleet);
+    let (dist, fleet) = distributed(workload, mode, fleet);
     assert_bit_identical(workload, &seq, &dist);
     assert_eq!(
-        dist.fleet.chaos_kills, 1,
+        fleet.chaos_kills, 1,
         "the chaos hook must fire exactly once"
     );
-    assert!(
-        dist.fleet.revoked >= 1,
-        "the SIGKILLed lease must be revoked"
-    );
+    assert!(fleet.revoked >= 1, "the SIGKILLed lease must be revoked");
     assert_eq!(
-        dist.fleet.quarantined, 0,
+        fleet.quarantined, 0,
         "failover must succeed within the retry budget"
     );
 }
@@ -202,14 +206,11 @@ fn torn_result_frames_are_rejected_and_requeued() {
         ],
         ..patient_fleet(workload, mode, 1)
     };
-    let dist = distributed(workload, mode, fleet);
+    let (dist, fleet) = distributed(workload, mode, fleet);
     assert_bit_identical(workload, &seq, &dist);
-    assert!(
-        dist.fleet.revoked >= 1,
-        "a torn frame must revoke its lease"
-    );
+    assert!(fleet.revoked >= 1, "a torn frame must revoke its lease");
     assert_eq!(
-        dist.fleet.quarantined, 0,
+        fleet.quarantined, 0,
         "retries on fresh workers must recover"
     );
 }
@@ -227,14 +228,14 @@ fn worker_death_before_reply_requeues_bit_identically() {
         ],
         ..patient_fleet(workload, mode, 1)
     };
-    let dist = distributed(workload, mode, fleet);
+    let (dist, fleet) = distributed(workload, mode, fleet);
     assert_bit_identical(workload, &seq, &dist);
     assert!(
-        dist.fleet.revoked >= 1,
+        fleet.revoked >= 1,
         "a mid-lease death must revoke its lease"
     );
     assert_eq!(
-        dist.fleet.quarantined, 0,
+        fleet.quarantined, 0,
         "retries on fresh workers must recover"
     );
 }
@@ -257,11 +258,8 @@ fn exhausted_retries_quarantine_and_never_report_a_false_pass() {
         ],
         ..patient_fleet(workload, mode, 1)
     };
-    let dist = distributed(workload, mode, fleet);
-    assert!(
-        dist.fleet.quarantined >= 1,
-        "exhausted retries must quarantine"
-    );
+    let (dist, fleet) = distributed(workload, mode, fleet);
+    assert!(fleet.quarantined >= 1, "exhausted retries must quarantine");
     assert!(dist.outcome.partial, "a quarantined run must be partial");
     assert!(
         !dist.outcome.exhausted,
@@ -283,14 +281,11 @@ fn spawn_failure_degrades_to_in_process_bit_identically() {
         workers: 2,
         ..FleetConfig::default()
     };
-    let dist = distributed(workload, mode, fleet);
+    let (dist, fleet) = distributed(workload, mode, fleet);
     assert_bit_identical(workload, &seq, &dist);
-    assert!(dist.fleet.degraded, "an unspawnable fleet must degrade");
-    assert_eq!(
-        dist.fleet.completed, 0,
-        "no task can complete out of process"
-    );
-    assert_eq!(dist.fleet.quarantined, 0, "degradation is not a fault");
+    assert!(fleet.degraded, "an unspawnable fleet must degrade");
+    assert_eq!(fleet.completed, 0, "no task can complete out of process");
+    assert_eq!(fleet.quarantined, 0, "degradation is not a fault");
 }
 
 #[test]
@@ -308,20 +303,14 @@ fn heartbeats_renew_leases_past_the_timeout() {
         env: vec![("SL_DIST_TASK_STALL_MS".to_string(), "700".to_string())],
         ..FleetConfig::default()
     };
-    let dist = distributed(workload, mode, fleet);
+    let (dist, fleet) = distributed(workload, mode, fleet);
     assert_bit_identical(workload, &seq, &dist);
     assert!(
-        dist.fleet.completed >= 1,
+        fleet.completed >= 1,
         "stalled-but-heartbeating tasks must complete"
     );
-    assert_eq!(
-        dist.fleet.revoked, 0,
-        "renewed leases must never be revoked"
-    );
-    assert_eq!(
-        dist.fleet.quarantined, 0,
-        "renewed leases must never quarantine"
-    );
+    assert_eq!(fleet.revoked, 0, "renewed leases must never be revoked");
+    assert_eq!(fleet.quarantined, 0, "renewed leases must never quarantine");
 }
 
 #[test]
@@ -344,10 +333,10 @@ fn silenced_heartbeats_miss_the_deadline_and_quarantine() {
         ],
         ..FleetConfig::default()
     };
-    let dist = distributed(workload, mode, fleet);
-    assert!(dist.fleet.revoked >= 1, "a silent lease must be revoked");
+    let (dist, fleet) = distributed(workload, mode, fleet);
+    assert!(fleet.revoked >= 1, "a silent lease must be revoked");
     assert!(
-        dist.fleet.quarantined >= 1,
+        fleet.quarantined >= 1,
         "a zero-retry budget must quarantine"
     );
     assert!(
@@ -362,7 +351,7 @@ fn probe_dispatch_counts() {
     let workload = "aba_mixed3";
     let mode = PruneMode::SourceDpor;
     for procs in [1usize, 2, 4] {
-        let dist = distributed(workload, mode, patient_fleet(workload, mode, procs));
-        eprintln!("procs={procs} fleet={:?}", dist.fleet);
+        let (_, fleet) = distributed(workload, mode, patient_fleet(workload, mode, procs));
+        eprintln!("procs={procs} fleet={fleet:?}");
     }
 }

@@ -119,10 +119,12 @@ mod imp {
         // SAFETY: `boot` is the pointer `Fiber::spawn` leaked via
         // `Box::into_raw` and parked in the fake frame's r12 slot; the
         // boot trampoline passes it here exactly once, so reclaiming
-        // the box is sound and unaliased.
-        let boot = unsafe { Box::from_raw(boot) };
-        let inner = boot.inner;
-        let result = panic::catch_unwind(AssertUnwindSafe(boot.f));
+        // the box is sound and unaliased. The box is moved out of and
+        // freed within this statement: this function never returns, so
+        // a `Box<Boot>` binding would never be dropped and would leak
+        // one allocation per fiber.
+        let Boot { f, inner } = *unsafe { Box::from_raw(boot) };
+        let result = panic::catch_unwind(AssertUnwindSafe(f));
         // SAFETY: `inner` points into the `FiberInner` owned by the
         // `Fiber` that spawned us, which outlives the fiber's stack
         // (the VM never drops a started fiber before it is done), and
@@ -422,6 +424,91 @@ mod imp {
 
 pub(crate) use imp::{fiber_yield, Fiber};
 
+/// Per-thread live-heap accounting for the fiber leak regression test:
+/// a counting global allocator installed in this crate's unit-test
+/// binary. The assembly fibers run on the thread that resumes them, so
+/// a thread-local counter stays exact while other tests allocate in
+/// parallel on their own threads.
+#[cfg(all(
+    test,
+    target_arch = "x86_64",
+    target_os = "linux",
+    not(miri),
+    not(feature = "portable-fibers")
+))]
+mod live_heap {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Bytes allocated minus bytes freed on this thread.
+        static LIVE: Cell<isize> = const { Cell::new(0) };
+    }
+
+    fn add(delta: isize) {
+        // `try_with`: allocation during thread teardown must not panic.
+        let _ = LIVE.try_with(|c| c.set(c.get() + delta));
+    }
+
+    /// Bytes this thread has allocated and not yet freed.
+    pub(super) fn live() -> isize {
+        LIVE.with(|c| c.get())
+    }
+
+    struct Counting;
+
+    // SAFETY: every method forwards to `System` with the caller's
+    // arguments unchanged, so `System`'s guarantees carry over; the
+    // bookkeeping touches only a const-initialised thread-local `Cell`,
+    // which neither allocates nor unwinds.
+    unsafe impl GlobalAlloc for Counting {
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract,
+        // which is `System.alloc`'s.
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            // SAFETY: forwarded contract, see above.
+            let p = unsafe { System.alloc(layout) };
+            if !p.is_null() {
+                add(layout.size() as isize);
+            }
+            p
+        }
+
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s
+        // contract, which is `System.alloc_zeroed`'s.
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            // SAFETY: forwarded contract, see above.
+            let p = unsafe { System.alloc_zeroed(layout) };
+            if !p.is_null() {
+                add(layout.size() as isize);
+            }
+            p
+        }
+
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract:
+        // `ptr` came from this allocator (hence from `System`) with
+        // `layout`.
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: forwarded contract, see above.
+            unsafe { System.dealloc(ptr, layout) };
+            add(-(layout.size() as isize));
+        }
+
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract,
+        // which is `System.realloc`'s.
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            // SAFETY: forwarded contract, see above.
+            let p = unsafe { System.realloc(ptr, layout, new_size) };
+            if !p.is_null() {
+                add(new_size as isize - layout.size() as isize);
+            }
+            p
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING: Counting = Counting;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -535,6 +622,82 @@ mod tests {
     /// Stand-in for the VM's `SimAbort` payload: unwinding a suspended
     /// fiber through a panic payload must complete cleanly.
     struct FiberAbort;
+
+    /// Regression: every finished fiber frees everything it allocated
+    /// — the boot record included, which `fiber_main` (a function that
+    /// never returns) once leaked at 24 bytes per fiber, so every
+    /// replayed schedule leaked 24 bytes per process. Counts the live
+    /// heap exactly, on this thread, across bare fibers and a warm
+    /// replay loop.
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_os = "linux",
+        not(miri),
+        not(feature = "portable-fibers")
+    ))]
+    #[test]
+    fn finished_fibers_and_replays_leave_no_live_heap() {
+        use crate::{EventLog, ProcCtx, Program, ReplayPool, RoundRobin, SimWorld};
+        use sl_mem::{Mem, Register};
+        use sl_spec::types::RegisterSpec;
+        use sl_spec::{RegisterOp, RegisterResp};
+
+        fn spawn_and_finish() {
+            let mut f = Fiber::spawn(
+                0,
+                Box::new(|| {
+                    fiber_yield();
+                }),
+            );
+            while !f.is_done() {
+                f.resume();
+            }
+        }
+
+        let world = SimWorld::new(2);
+        let reg = world.mem().alloc("X", 0u64);
+        let mut pool: ReplayPool<RegisterSpec<u64>> = ReplayPool::new(world);
+        let replay = |pool: &mut ReplayPool<RegisterSpec<u64>>| {
+            let programs = |log: &EventLog<RegisterSpec<u64>>| -> Vec<Program> {
+                (0..2u64)
+                    .map(|pid| {
+                        let (reg, log) = (reg.clone(), log.clone());
+                        Box::new(move |ctx: ProcCtx| {
+                            ctx.pause();
+                            let id = log.invoke(ctx.proc_id(), RegisterOp::Write(pid));
+                            reg.write(pid);
+                            log.respond(id, RegisterResp::Ack);
+                        }) as Program
+                    })
+                    .collect()
+            };
+            pool.replay(programs, &mut RoundRobin::new(), 100);
+        };
+
+        // Warm-up: the stack pool, the trace and transcript buffers,
+        // and the value interner reach their steady state.
+        spawn_and_finish();
+        replay(&mut pool);
+
+        let before = live_heap::live();
+        for _ in 0..1_000 {
+            spawn_and_finish();
+        }
+        assert_eq!(
+            live_heap::live() - before,
+            0,
+            "bytes leaked by 1000 finished fibers"
+        );
+        let before = live_heap::live();
+        for _ in 0..1_000 {
+            replay(&mut pool);
+        }
+        assert_eq!(
+            live_heap::live() - before,
+            0,
+            "bytes leaked by 1000 two-process replays"
+        );
+    }
 
     #[test]
     fn abort_payloads_unwind_cleanly() {

@@ -86,11 +86,12 @@
 //! values — see *Trace encoding & value-aware commutation* below;
 //! the syntactic-DPOR mode and the unpruned reference oracle — the
 //! same engine under the all-dependent relation — remain available via
-//! `sim::PruneMode`), and streams every transcript into the prefix
-//! tree that strong linearizability quantifies over:
+//! `sim::PruneMode`), and streams every transcript into the
+//! hash-consed transcript DAG that strong linearizability quantifies
+//! over:
 //!
 //! ```
-//! use strongly_linearizable::api::sim::{explore_object, SimExplore};
+//! use strongly_linearizable::api::sim::{explore_object, DriveOps as _, SimExplore};
 //! use strongly_linearizable::prelude::*;
 //! use strongly_linearizable::spec::types::SnapshotSpec;
 //! use strongly_linearizable::spec::SnapshotOp;
@@ -102,11 +103,14 @@
 //! };
 //! // 2. A per-process workload of sequential-spec operations.
 //! let workload = [vec![SnapshotOp::Update(5)], vec![SnapshotOp::Scan]];
-//! // 3. Explore every schedule (bounded) and decide.
-//! let explored = explore_object::<SnapshotSpec<u64>, _, _>(
+//! // 3. Explore every schedule (bounded) and decide. The closure
+//! //    applies one spec operation to a handle; no checkpointing.
+//! let explored = explore_object::<SnapshotSpec<u64>, _, _, _>(
 //!     factory,
 //!     &workload,
+//!     |h, op| h.drive(op),
 //!     &SimExplore::default(),
+//!     None,
 //! );
 //! assert!(explored.outcome.exhausted);
 //! assert!(explored.check_strong(&SnapshotSpec::<u64>::new(2)).holds);
@@ -121,16 +125,19 @@
 //!    schedule sequence and printed with allocation-site labels.
 //! 2. **Explore** (`api::sim::explore_object`, above): bounded
 //!    *exhaustive* enumeration with pruning; `SimExplore::stem` focuses
-//!    the search on extensions of a known-adversarial prefix, and
-//!    `workers` parallelises replays across threads.
+//!    the search on extensions of a known-adversarial prefix,
+//!    `workers` parallelises replays across threads, and
+//!    `api::sim::explore_object_distributed` across worker processes.
 //! 3. **Hand-crafted adversaries** (`sim::FnScheduler`,
 //!    `sim::Scripted`): reproduce a specific family, as the
 //!    Observation-4 tests do. New: schedulers see each runnable
 //!    process's *declared next access* (`sim::SchedView::pending`).
 //!
-//! For operations outside the builder families, implement
-//! `api::sim::DriveOps` for your handle (or pass an explicit apply
-//! closure to `explore_object_with` / the fuzz entry points).
+//! Every builder family's handles implement `api::sim::DriveOps`, so
+//! their apply closure is `|h, op| h.drive(op)`; for operations outside
+//! the builder families, implement `DriveOps` for your handle or write
+//! the apply closure directly (`explore_object` and the fuzz entry
+//! points both take one).
 //!
 //! ## Parallel exploration
 //!
@@ -279,9 +286,8 @@
 //! task — into a versioned, checksummed checkpoint file
 //! (`sim::CheckpointStore`: canonical compact JSON, FNV-1a-64 digest,
 //! atomic temp-file + rename writes), and
-//! `sim::Explorer::explore_resumable` (or
-//! `api::sim::explore_object_dag_resumable` at the object level)
-//! resumes from it. The resumed run's union with the interrupted one
+//! `sim::Explorer::explore_resumable` (or `api::sim::explore_object`
+//! with a `sim::ResumeSession` at the object level) resumes from it. The resumed run's union with the interrupted one
 //! is **bit-identical** to an uninterrupted exploration at any worker
 //! count: schedule counts, cut/pruned telemetry, merged `TreeDag`
 //! structural hash, verdict, and conflict depth all agree. The loader
